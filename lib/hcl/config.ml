@@ -200,12 +200,42 @@ let split_resource_body (b : Ast.block) =
 (* Top-level assembly                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The name a declaration claims; two declarations of one kind may not
+   claim the same name. *)
+type name =
+  | Variable of string
+  | Local of string
+  | Resource of string * string
+  | Data of string * string
+  | Output of string
+  | Module of string
+
+(* The names declared so far, hashed so that each duplicate check is
+   O(1).  The set starts small and grows with the input: the control
+   plane parses an 8-resource configuration per request. *)
+let name_set () : (name, unit) Hashtbl.t = Hashtbl.create 16
+
+(* Record [name]; [false] if it was already declared. *)
+let fresh set name =
+  (not (Hashtbl.mem set name)) && (Hashtbl.replace set name (); true)
+
+(* Raise [dup] for the first of [items] whose name is already in [set],
+   then record all their names.  Names repeated within [items] are not
+   checked against each other. *)
+let declare set name dup items =
+  List.iter (fun x -> if Hashtbl.mem set (name x) then dup x) items;
+  List.iter (fun x -> Hashtbl.replace set (name x) ()) items
+
 let of_body ~file (body : Ast.body) : t =
   if body.Ast.attrs <> [] then begin
     let a = List.hd body.Ast.attrs in
     errf a.Ast.aspan "attribute %S not allowed at top level" a.Ast.aname
   end;
-  let cfg = ref (empty ~file) in
+  (* each kind is collected in reverse and reversed once at the end *)
+  let variables = ref [] and locals = ref [] and resources = ref [] in
+  let data_sources = ref [] and outputs = ref [] and modules = ref [] in
+  let providers = ref [] in
+  let names = name_set () in
   let add_variable (b : Ast.block) name =
     let vb = b.Ast.bbody in
     let vtype =
@@ -227,16 +257,13 @@ let of_body ~file (body : Ast.body) : t =
         vspan = b.Ast.bspan;
       }
     in
-    if List.exists (fun v' -> v'.vname = name) !cfg.variables then
+    if not (fresh names (Variable name)) then
       errf b.Ast.bspan "duplicate variable %S" name;
-    cfg := { !cfg with variables = !cfg.variables @ [ v ] }
+    variables := v :: !variables
   in
   let add_resource (b : Ast.block) rtype rname =
-    if
-      List.exists
-        (fun r -> r.rtype = rtype && r.rname = rname)
-        !cfg.resources
-    then errf b.Ast.bspan "duplicate resource %s.%s" rtype rname;
+    if not (fresh names (Resource (rtype, rname))) then
+      errf b.Ast.bspan "duplicate resource %s.%s" rtype rname;
     let rbody, rcount, rfor_each, rprovider, rdepends_on, rlifecycle =
       split_resource_body b
     in
@@ -253,16 +280,13 @@ let of_body ~file (body : Ast.body) : t =
         rspan = b.Ast.bspan;
       }
     in
-    cfg := { !cfg with resources = !cfg.resources @ [ r ] }
+    resources := r :: !resources
   in
   let add_data (b : Ast.block) dtype dname =
-    if
-      List.exists
-        (fun d -> d.dtype = dtype && d.dname = dname)
-        !cfg.data_sources
-    then errf b.Ast.bspan "duplicate data source data.%s.%s" dtype dname;
+    if not (fresh names (Data (dtype, dname))) then
+      errf b.Ast.bspan "duplicate data source data.%s.%s" dtype dname;
     let d = { dtype; dname; dbody = b.Ast.bbody; dspan = b.Ast.bspan } in
-    cfg := { !cfg with data_sources = !cfg.data_sources @ [ d ] }
+    data_sources := d :: !data_sources
   in
   let add_output (b : Ast.block) name =
     let ob = b.Ast.bbody in
@@ -279,9 +303,9 @@ let of_body ~file (body : Ast.body) : t =
         ospan = b.Ast.bspan;
       }
     in
-    if List.exists (fun o' -> o'.oname = name) !cfg.outputs then
+    if not (fresh names (Output name)) then
       errf b.Ast.bspan "duplicate output %S" name;
-    cfg := { !cfg with outputs = !cfg.outputs @ [ o ] }
+    outputs := o :: !outputs
   in
   let add_module (b : Ast.block) name =
     let mb = b.Ast.bbody in
@@ -311,24 +335,23 @@ let of_body ~file (body : Ast.body) : t =
         mspan = b.Ast.bspan;
       }
     in
-    if List.exists (fun m' -> m'.mname = name) !cfg.modules then
+    if not (fresh names (Module name)) then
       errf b.Ast.bspan "duplicate module %S" name;
-    cfg := { !cfg with modules = !cfg.modules @ [ m ] }
+    modules := m :: !modules
   in
   let add_locals (b : Ast.block) =
     let entries =
       List.map (fun (a : Ast.attribute) -> (a.Ast.aname, a.Ast.avalue)) b.Ast.bbody.attrs
     in
-    List.iter
-      (fun (name, _) ->
-        if List.mem_assoc name !cfg.locals then
-          errf b.Ast.bspan "duplicate local %S" name)
+    declare names
+      (fun (name, _) -> Local name)
+      (fun (name, _) -> errf b.Ast.bspan "duplicate local %S" name)
       entries;
-    cfg := { !cfg with locals = !cfg.locals @ entries }
+    locals := List.rev_append entries !locals
   in
   let add_provider (b : Ast.block) name =
     let p = { pname = name; pbody = b.Ast.bbody; pspan = b.Ast.bspan } in
-    cfg := { !cfg with providers = !cfg.providers @ [ p ] }
+    providers := p :: !providers
   in
   List.iter
     (fun (b : Ast.block) ->
@@ -350,7 +373,16 @@ let of_body ~file (body : Ast.body) : t =
       | "terraform", _ -> ()  (* settings block: accepted and ignored *)
       | ty, _ -> errf b.Ast.bspan "unknown top-level block type %S" ty)
     body.Ast.blocks;
-  !cfg
+  {
+    file;
+    variables = List.rev !variables;
+    locals = List.rev !locals;
+    resources = List.rev !resources;
+    data_sources = List.rev !data_sources;
+    outputs = List.rev !outputs;
+    modules = List.rev !modules;
+    providers = List.rev !providers;
+  }
 
 (** Parse source text into a structured configuration. *)
 let parse ~file src = of_body ~file (Parser.parse ~file src)
@@ -503,51 +535,52 @@ let to_string t = Printer.config_to_string (to_body t)
 (** Merge several parsed files into one configuration (Terraform's
     directory model: all [*.tf] files in a directory form one module).
     Duplicate declarations across files are errors, like within one
-    file. *)
+    file; each file's names are checked against the files before it. *)
 let merge (configs : t list) : t =
   match configs with
   | [] -> empty ~file:"<empty>"
-  | first :: rest ->
-      List.fold_left
-        (fun acc c ->
-          List.iter
-            (fun (v : variable) ->
-              if List.exists (fun v' -> v'.vname = v.vname) acc.variables then
-                errf v.vspan "duplicate variable %S across files" v.vname)
+  | first :: _ ->
+      let names = name_set () in
+      List.iter
+        (fun c ->
+          declare names
+            (fun v -> Variable v.vname)
+            (fun v -> errf v.vspan "duplicate variable %S across files" v.vname)
             c.variables;
-          List.iter
-            (fun (r : resource) ->
-              if
-                List.exists
-                  (fun r' -> r'.rtype = r.rtype && r'.rname = r.rname)
-                  acc.resources
-              then
-                errf r.rspan "duplicate resource %s.%s across files" r.rtype
-                  r.rname)
+          declare names
+            (fun r -> Resource (r.rtype, r.rname))
+            (fun r ->
+              errf r.rspan "duplicate resource %s.%s across files" r.rtype
+                r.rname)
             c.resources;
-          List.iter
-            (fun (o : output) ->
-              if List.exists (fun o' -> o'.oname = o.oname) acc.outputs then
-                errf o.ospan "duplicate output %S across files" o.oname)
+          declare names
+            (fun d -> Data (d.dtype, d.dname))
+            (fun d ->
+              errf d.dspan "duplicate data source data.%s.%s across files"
+                d.dtype d.dname)
+            c.data_sources;
+          declare names
+            (fun o -> Output o.oname)
+            (fun o -> errf o.ospan "duplicate output %S across files" o.oname)
             c.outputs;
-          List.iter
-            (fun (m : module_call) ->
-              if List.exists (fun m' -> m'.mname = m.mname) acc.modules then
-                errf m.mspan "duplicate module %S across files" m.mname)
+          declare names
+            (fun m -> Module m.mname)
+            (fun m -> errf m.mspan "duplicate module %S across files" m.mname)
             c.modules;
-          List.iter
+          declare names
+            (fun (name, _) -> Local name)
             (fun (name, _) ->
-              if List.mem_assoc name acc.locals then
-                errf Loc.dummy "duplicate local %S across files" name)
-            c.locals;
-          {
-            acc with
-            variables = acc.variables @ c.variables;
-            locals = acc.locals @ c.locals;
-            resources = acc.resources @ c.resources;
-            data_sources = acc.data_sources @ c.data_sources;
-            outputs = acc.outputs @ c.outputs;
-            modules = acc.modules @ c.modules;
-            providers = acc.providers @ c.providers;
-          })
-        first rest
+              errf Loc.dummy "duplicate local %S across files" name)
+            c.locals)
+        configs;
+      let all field = List.concat_map field configs in
+      {
+        first with
+        variables = all (fun c -> c.variables);
+        locals = all (fun c -> c.locals);
+        resources = all (fun c -> c.resources);
+        data_sources = all (fun c -> c.data_sources);
+        outputs = all (fun c -> c.outputs);
+        modules = all (fun c -> c.modules);
+        providers = all (fun c -> c.providers);
+      }

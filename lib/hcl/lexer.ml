@@ -1,9 +1,15 @@
-(** Hand-written lexer for the HCL subset.
+(** Hand-written pull lexer for the HCL subset.
 
     Handles [#], [//] and [/* ... */] comments, decimal integers and
     floats, identifiers, operators, double-quoted string templates with
     [${...}] interpolation (lexed recursively so nested strings inside
     interpolations work), and [<<EOF]/[<<-EOF] heredocs.
+
+    {!next} scans one token at a time: the parser pulls tokens on demand
+    with one token of lookahead, so no token list is built for a whole
+    file.  {!tokenize} collects the same stream into a list (tests use
+    it); interpolations are collected the same way into their
+    [Token.Interp] part.
 
     Newlines are significant in HCL (they terminate attribute
     definitions), so the lexer emits [NEWLINE] tokens; the parser decides
@@ -28,19 +34,38 @@ let span_from st (start : Loc.pos) =
 
 let error st start msg = raise (Error (msg, span_from st start))
 
-let peek st = if st.pos >= String.length st.src then None else Some st.src.[st.pos]
+let at_end st = st.pos >= String.length st.src
+
+(* The character under the cursor (or one past it), ['\000'] past the
+   end of input.  Nothing is allocated per character; a caller that must
+   tell a NUL byte from the end of input tests [at_end]. *)
+let peek st =
+  if st.pos < String.length st.src then String.unsafe_get st.src st.pos
+  else '\000'
 
 let peek2 st =
-  if st.pos + 1 >= String.length st.src then None else Some st.src.[st.pos + 1]
+  if st.pos + 1 < String.length st.src then String.unsafe_get st.src (st.pos + 1)
+  else '\000'
 
 let advance st =
-  (match peek st with
-  | Some '\n' ->
+  if st.pos < String.length st.src then
+    if String.unsafe_get st.src st.pos = '\n' then begin
       st.line <- st.line + 1;
       st.col <- 1
-  | Some _ -> st.col <- st.col + 1
-  | None -> ());
+    end
+    else st.col <- st.col + 1;
   st.pos <- st.pos + 1
+
+(* Move the cursor to [stop], over characters that hold no newline. *)
+let skip_to st stop =
+  st.col <- st.col + (stop - st.pos);
+  st.pos <- stop
+
+(* The end of the run of characters satisfying [p] that starts at [i]. *)
+let rec scan_while src p i =
+  if i < String.length src && p (String.unsafe_get src i) then
+    scan_while src p (i + 1)
+  else i
 
 let is_digit c = c >= '0' && c <= '9'
 
@@ -48,106 +73,80 @@ let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
 let is_ident_char c = is_ident_start c || is_digit c || c = '-'
+let not_newline c = c <> '\n'
+
+(* Characters copied verbatim into a quoted string's literal text. *)
+let is_plain_string_char c = c <> '"' && c <> '\\' && c <> '$' && c <> '\n'
 
 (* Skip spaces, tabs, carriage returns and comments.  Newlines are NOT
    skipped: they become tokens. *)
 let rec skip_trivia st =
   match peek st with
-  | Some (' ' | '\t' | '\r') ->
-      advance st;
+  | ' ' | '\t' | '\r' ->
+      skip_to st (st.pos + 1);
       skip_trivia st
-  | Some '#' ->
+  | '#' ->
       skip_line_comment st;
       skip_trivia st
-  | Some '/' when peek2 st = Some '/' ->
+  | '/' when peek2 st = '/' ->
       skip_line_comment st;
       skip_trivia st
-  | Some '/' when peek2 st = Some '*' ->
+  | '/' when peek2 st = '*' ->
       skip_block_comment st;
       skip_trivia st
   | _ -> ()
 
-and skip_line_comment st =
-  let rec loop () =
-    match peek st with
-    | Some '\n' | None -> ()
-    | Some _ ->
-        advance st;
-        loop ()
-  in
-  loop ()
+and skip_line_comment st = skip_to st (scan_while st.src not_newline st.pos)
 
 and skip_block_comment st =
   let start = cur_pos st in
   advance st;
   advance st;
   let rec loop () =
-    match (peek st, peek2 st) with
-    | Some '*', Some '/' ->
-        advance st;
-        advance st
-    | None, _ -> error st start "unterminated block comment"
-    | Some _, _ ->
-        advance st;
-        loop ()
+    if at_end st then error st start "unterminated block comment"
+    else if peek st = '*' && peek2 st = '/' then begin
+      advance st;
+      advance st
+    end
+    else begin
+      advance st;
+      loop ()
+    end
   in
   loop ()
 
 let lex_ident st =
   let start = st.pos in
-  while (match peek st with Some c -> is_ident_char c | None -> false) do
-    advance st
-  done;
+  skip_to st (scan_while st.src is_ident_char start);
   String.sub st.src start (st.pos - start)
+
+let skip_digits st = skip_to st (scan_while st.src is_digit st.pos)
 
 let lex_number st start =
   let begin_pos = st.pos in
-  while (match peek st with Some c -> is_digit c | None -> false) do
-    advance st
-  done;
+  skip_digits st;
   let is_float = ref false in
-  (match (peek st, peek2 st) with
-  | Some '.', Some c when is_digit c ->
-      is_float := true;
-      advance st;
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
-  | _ -> ());
+  if peek st = '.' && is_digit (peek2 st) then begin
+    is_float := true;
+    advance st;
+    skip_digits st
+  end;
   (match peek st with
-  | Some ('e' | 'E') ->
+  | 'e' | 'E' ->
       is_float := true;
       advance st;
-      (match peek st with Some ('+' | '-') -> advance st | _ -> ());
-      while (match peek st with Some c -> is_digit c | None -> false) do
-        advance st
-      done
+      (match peek st with '+' | '-' -> advance st | _ -> ());
+      skip_digits st
   | _ -> ());
   let text = String.sub st.src begin_pos (st.pos - begin_pos) in
-  if !is_float then Token.FLOAT (float_of_string text)
-  else
-    match int_of_string_opt text with
-    | Some n -> Token.INT n
-    | None -> error st start (Printf.sprintf "invalid number %S" text)
+  let invalid () = error st start (Printf.sprintf "invalid number %S" text) in
+  if !is_float then
+    match float_of_string_opt text with
+    | Some f -> Token.FLOAT f
+    | None -> invalid ()
+  else match int_of_string_opt text with Some n -> Token.INT n | None -> invalid ()
 
-(* Lex a full token stream (terminated by EOF). *)
-let rec tokens st : Token.spanned list =
-  let acc = ref [] in
-  let rec loop () =
-    skip_trivia st;
-    let start = cur_pos st in
-    match peek st with
-    | None ->
-        acc := { Token.tok = Token.EOF; span = span_from st start } :: !acc
-    | Some c ->
-        let tok = lex_one st start c in
-        acc := { Token.tok; span = span_from st start } :: !acc;
-        loop ()
-  in
-  loop ();
-  List.rev !acc
-
-and lex_one st start c : Token.t =
+let rec lex_one st start c : Token.t =
   match c with
   | '\n' ->
       advance st;
@@ -195,11 +194,11 @@ and lex_one st start c : Token.t =
       advance st;
       Token.SLASH
   | '.' ->
-      if peek2 st = Some '.' then begin
+      if peek2 st = '.' then begin
         advance st;
         advance st;
         match peek st with
-        | Some '.' ->
+        | '.' ->
             advance st;
             Token.ELLIPSIS
         | _ -> error st start "expected '...'"
@@ -211,48 +210,48 @@ and lex_one st start c : Token.t =
   | '=' -> (
       advance st;
       match peek st with
-      | Some '=' ->
+      | '=' ->
           advance st;
           Token.EQ
-      | Some '>' ->
+      | '>' ->
           advance st;
           Token.FATARROW
       | _ -> Token.ASSIGN)
   | '!' -> (
       advance st;
       match peek st with
-      | Some '=' ->
+      | '=' ->
           advance st;
           Token.NEQ
       | _ -> Token.NOT)
   | '<' -> (
       advance st;
       match peek st with
-      | Some '=' ->
+      | '=' ->
           advance st;
           Token.LE
-      | Some '<' ->
+      | '<' ->
           advance st;
           lex_heredoc st start
       | _ -> Token.LT)
   | '>' -> (
       advance st;
       match peek st with
-      | Some '=' ->
+      | '=' ->
           advance st;
           Token.GE
       | _ -> Token.GT)
   | '&' -> (
       advance st;
       match peek st with
-      | Some '&' ->
+      | '&' ->
           advance st;
           Token.AND
       | _ -> error st start "expected '&&'")
   | '|' -> (
       advance st;
       match peek st with
-      | Some '|' ->
+      | '|' ->
           advance st;
           Token.OR
       | _ -> error st start "expected '||'")
@@ -263,8 +262,19 @@ and lex_one st start c : Token.t =
   | c when is_ident_start c -> Token.IDENT (lex_ident st)
   | c -> error st start (Printf.sprintf "unexpected character %C" c)
 
-(* Body of a double-quoted string, cursor just past the opening quote. *)
+(* Body of a double-quoted string, cursor just past the opening quote.
+   A string without escapes or interpolations (the common case) is one
+   [String.sub]. *)
 and lex_string_parts st start : Token.str_part list =
+  let stop = scan_while st.src is_plain_string_char st.pos in
+  if stop < String.length st.src && String.unsafe_get st.src stop = '"' then begin
+    let text = String.sub st.src st.pos (stop - st.pos) in
+    skip_to st (stop + 1);
+    if text = "" then [] else [ Token.Lit text ]
+  end
+  else lex_template_parts st start
+
+and lex_template_parts st start =
   let buf = Buffer.create 16 in
   let parts = ref [] in
   let flush () =
@@ -274,68 +284,70 @@ and lex_string_parts st start : Token.str_part list =
     end
   in
   let rec loop () =
+    if at_end st then error st start "unterminated string";
     match peek st with
-    | None -> error st start "unterminated string"
-    | Some '"' ->
+    | '"' ->
         advance st;
         flush ()
-    | Some '\\' ->
+    | '\\' ->
         advance st;
+        if at_end st then error st start "unterminated string";
         (match peek st with
-        | Some 'n' -> Buffer.add_char buf '\n'
-        | Some 't' -> Buffer.add_char buf '\t'
-        | Some 'r' -> Buffer.add_char buf '\r'
-        | Some '"' -> Buffer.add_char buf '"'
-        | Some '\\' -> Buffer.add_char buf '\\'
-        | Some '$' -> Buffer.add_char buf '$'
-        | Some c -> error st start (Printf.sprintf "invalid escape '\\%c'" c)
-        | None -> error st start "unterminated string");
+        | 'n' -> Buffer.add_char buf '\n'
+        | 't' -> Buffer.add_char buf '\t'
+        | 'r' -> Buffer.add_char buf '\r'
+        | '"' -> Buffer.add_char buf '"'
+        | '\\' -> Buffer.add_char buf '\\'
+        | '$' -> Buffer.add_char buf '$'
+        | c -> error st start (Printf.sprintf "invalid escape '\\%c'" c));
         advance st;
         loop ()
-    | Some '$' when peek2 st = Some '{' ->
+    | '$' when peek2 st = '{' ->
         flush ();
         advance st;
         advance st;
         parts := Token.Interp (lex_interp st start) :: !parts;
         loop ()
-    | Some '\n' -> error st start "newline in string literal"
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
+    | '\n' -> error st start "newline in string literal"
+    | _ ->
+        (* the character under the cursor (a plain one, or a '$' that
+           opens no interpolation) and the plain run after it *)
+        let from = st.pos in
+        skip_to st (scan_while st.src is_plain_string_char (from + 1));
+        Buffer.add_substring buf st.src from (st.pos - from);
         loop ()
   in
   loop ();
   List.rev !parts
 
-(* Tokens of a ${...} interpolation, up to the matching '}'.  Braces nest
-   (e.g. object literals inside interpolations). *)
+(* Tokens of a ${...} interpolation, up to the matching '}', collected
+   into a list ending in EOF.  Braces nest (e.g. object literals inside
+   interpolations). *)
 and lex_interp st start : Token.spanned list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let rec loop () =
+  let rec loop depth acc =
     skip_trivia st;
     let tok_start = cur_pos st in
+    if at_end st then error st start "unterminated interpolation";
     match peek st with
-    | None -> error st start "unterminated interpolation"
-    | Some '}' when !depth = 0 ->
+    | '}' when depth = 0 ->
         advance st;
-        acc := { Token.tok = Token.EOF; span = span_from st tok_start } :: !acc
-    | Some c ->
+        List.rev ({ Token.tok = Token.EOF; span = span_from st tok_start } :: acc)
+    | c ->
         let tok = lex_one st tok_start c in
-        (match tok with
-        | Token.LBRACE -> incr depth
-        | Token.RBRACE -> decr depth
-        | _ -> ());
-        acc := { Token.tok; span = span_from st tok_start } :: !acc;
-        loop ()
+        let depth =
+          match tok with
+          | Token.LBRACE -> depth + 1
+          | Token.RBRACE -> depth - 1
+          | _ -> depth
+        in
+        loop depth ({ Token.tok; span = span_from st tok_start } :: acc)
   in
-  loop ();
-  List.rev !acc
+  loop 0 []
 
 (* <<EOF / <<-EOF heredoc; cursor just past "<<". *)
 and lex_heredoc st start : Token.t =
   let indent_mode =
-    if peek st = Some '-' then begin
+    if peek st = '-' then begin
       advance st;
       true
     end
@@ -343,37 +355,23 @@ and lex_heredoc st start : Token.t =
   in
   let tag = lex_ident st in
   if tag = "" then error st start "expected heredoc tag after '<<'";
-  (match peek st with
-  | Some '\n' -> advance st
-  | _ -> error st start "expected newline after heredoc tag");
+  if peek st = '\n' then advance st
+  else error st start "expected newline after heredoc tag";
   (* Collect raw lines until a line equal to the tag (modulo leading
      whitespace when in indent mode). *)
-  let lines = ref [] in
-  let buf = Buffer.create 64 in
-  let rec read_line () =
-    match peek st with
-    | None -> error st start "unterminated heredoc"
-    | Some '\n' ->
-        advance st;
-        let l = Buffer.contents buf in
-        Buffer.clear buf;
-        l
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        read_line ()
+  let read_line () =
+    let from = st.pos in
+    skip_to st (scan_while st.src not_newline from);
+    if at_end st then error st start "unterminated heredoc";
+    advance st;
+    String.sub st.src from (st.pos - 1 - from)
   in
   let strip s = String.trim s in
-  let rec collect () =
+  let rec collect acc =
     let l = read_line () in
-    if strip l = tag then ()
-    else begin
-      lines := l :: !lines;
-      collect ()
-    end
+    if strip l = tag then List.rev acc else collect (l :: acc)
   in
-  collect ();
-  let lines = List.rev !lines in
+  let lines = collect [] in
   let lines =
     if not indent_mode then lines
     else
@@ -412,21 +410,38 @@ and template_parts ~file text : Token.str_part list =
     end
   in
   let rec loop () =
-    match peek st with
-    | None -> flush ()
-    | Some '$' when peek2 st = Some '{' ->
-        flush ();
-        advance st;
-        advance st;
-        parts := Token.Interp (lex_interp st (cur_pos st)) :: !parts;
-        loop ()
-    | Some c ->
-        advance st;
-        Buffer.add_char buf c;
-        loop ()
+    if at_end st then flush ()
+    else if peek st = '$' && peek2 st = '{' then begin
+      flush ();
+      advance st;
+      advance st;
+      parts := Token.Interp (lex_interp st (cur_pos st)) :: !parts;
+      loop ()
+    end
+    else begin
+      Buffer.add_char buf (peek st);
+      advance st;
+      loop ()
+    end
   in
   loop ();
   List.rev !parts
 
-(** Tokenize a full source file. *)
-let tokenize ~file src = tokens (make ~file src)
+(** The next token of the stream; at the end of input, [EOF] (again on
+    every further call). *)
+let next st : Token.spanned =
+  skip_trivia st;
+  let start = cur_pos st in
+  let tok = if at_end st then Token.EOF else lex_one st start (peek st) in
+  { Token.tok; span = span_from st start }
+
+(** Tokenize a full source file: the {!next} stream up to and including
+    [EOF], as a list. *)
+let tokenize ~file src =
+  let st = make ~file src in
+  let rec loop acc =
+    match next st with
+    | { Token.tok = Token.EOF; _ } as t -> List.rev (t :: acc)
+    | t -> loop (t :: acc)
+  in
+  loop []

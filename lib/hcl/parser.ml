@@ -22,22 +22,36 @@
 
 exception Error of string * Loc.span
 
-type state = { mutable toks : Token.spanned list; mutable last : Loc.span }
+(* One token of lookahead over a token source: the lexer for a file or
+   an expression, or the collected tokens of a [${...}] interpolation. *)
+type state = {
+  pull : unit -> Token.spanned;
+  mutable cur : Token.spanned;
+  mutable last : Loc.span;
+}
 
-let make toks = { toks; last = Loc.dummy }
+let of_pull pull = { pull; cur = pull (); last = Loc.dummy }
 
-let peek st =
-  match st.toks with [] -> Token.EOF | { tok; _ } :: _ -> tok
+let of_lexer lx = of_pull (fun () -> Lexer.next lx)
 
-let peek_span st =
-  match st.toks with [] -> st.last | { span; _ } :: _ -> span
+(* Interpolation token lists end in EOF, which then repeats like the
+   lexer's. *)
+let of_tokens toks =
+  let rest = ref toks in
+  of_pull (fun () ->
+      match !rest with
+      | [ t ] -> t
+      | t :: tl ->
+          rest := tl;
+          t
+      | [] -> { Token.tok = Token.EOF; span = Loc.dummy })
+
+let peek st = st.cur.Token.tok
+let peek_span st = st.cur.Token.span
 
 let advance st =
-  match st.toks with
-  | [] -> ()
-  | { span; _ } :: rest ->
-      st.last <- span;
-      st.toks <- rest
+  st.last <- st.cur.Token.span;
+  st.cur <- st.pull ()
 
 let error st msg = raise (Error (msg, peek_span st))
 
@@ -74,24 +88,23 @@ and parse_ternary st =
   end
   else c
 
-and parse_binop_level st ops next =
-  let left = ref (next st) in
-  let rec loop () =
-    match List.assoc_opt (peek st) ops with
-    | Some op ->
-        advance st;
-        skip_newlines_in_expr st;
-        let right = next st in
-        left :=
-          {
-            Ast.desc = Ast.Binop (op, !left, right);
-            espan = Loc.merge !left.Ast.espan right.Ast.espan;
-          };
-        loop ()
-    | None -> ()
-  in
-  loop ();
-  !left
+(* One left-associative level of binary operators; [ops] maps its
+   tokens to operators.  Every expression passes through all six
+   levels, so a level that finds no operator allocates nothing. *)
+and parse_binop_level st ops next = binop_loop st ops next (next st)
+
+and binop_loop st ops next left =
+  match List.assoc_opt (peek st) ops with
+  | Some op ->
+      advance st;
+      skip_newlines_in_expr st;
+      let right = next st in
+      binop_loop st ops next
+        {
+          Ast.desc = Ast.Binop (op, left, right);
+          espan = Loc.merge left.Ast.espan right.Ast.espan;
+        }
+  | None -> left
 
 and parse_or st = parse_binop_level st [ (Token.OR, Ast.Or) ] parse_and
 and parse_and st = parse_binop_level st [ (Token.AND, Ast.And) ] parse_eq
@@ -209,8 +222,11 @@ and parse_primary st =
       advance st;
       { Ast.desc = Ast.Float f; espan = span }
   | Token.QUOTED parts | Token.HEREDOC parts ->
+      (* parse the interpolations before lexing past the string, so an
+         error inside one is reported before any error after it *)
+      let parts = parse_parts ~span parts in
       advance st;
-      { Ast.desc = Ast.Template (parse_parts ~span parts); espan = span }
+      { Ast.desc = Ast.Template parts; espan = span }
   | Token.IDENT "true" ->
       advance st;
       { Ast.desc = Ast.Bool true; espan = span }
@@ -267,7 +283,7 @@ and parse_parts ~span parts =
     (function
       | Token.Lit s -> Ast.Lit s
       | Token.Interp toks ->
-          let sub = make toks in
+          let sub = of_tokens toks in
           let e = parse_expr sub in
           skip_newlines sub;
           if peek sub <> Token.EOF then
@@ -502,16 +518,16 @@ let parse_config st : Ast.body =
       (Printf.sprintf "unexpected %s at top level" (Token.describe (peek st)));
   body
 
-(** Parse a configuration file from source text. *)
-let parse ~file src : Ast.body =
-  let toks = Lexer.tokenize ~file src in
-  parse_config (make toks)
+(** Parse a configuration file from source text.  Tokens are pulled
+    from the lexer as the parser needs them, so whichever error comes
+    first in the source is the one raised: an {!Error} at a token
+    wins over a {!Lexer.Error} further on. *)
+let parse ~file src : Ast.body = parse_config (of_lexer (Lexer.make ~file src))
 
 (** Parse a single standalone expression (used by the REPL-ish tools and
     by tests). *)
 let parse_expr_string ?(file = "<expr>") src : Ast.expr =
-  let toks = Lexer.tokenize ~file src in
-  let st = make toks in
+  let st = of_lexer (Lexer.make ~file src) in
   skip_newlines st;
   let e = parse_expr st in
   skip_newlines st;

@@ -248,57 +248,63 @@ let literal ?(span = Loc.dummy) body name =
 
 let of_string ?(file = "<state>") src =
   let body = Parser.parse ~file src in
-  List.fold_left
-    (fun acc (b : Ast.block) ->
-      match (b.Ast.btype, b.Ast.labels) with
-      | "state", _ ->
-          let serial =
-            Value.to_int (literal ~span:b.Ast.bspan b.Ast.bbody "serial")
-          in
-          { acc with serial }
-      | "instance", [ addr_str ] ->
-          let span = b.Ast.bspan in
-          let addr =
-            match Addr.of_string addr_str with
-            | Some a -> a
-            | None -> corrupt ~span "state: bad address %s" addr_str
-          in
-          let attrs =
-            match literal ~span b.Ast.bbody "attributes" with
-            | Value.Vmap m -> m
-            | _ -> corrupt ~span "state: attributes must be an object"
-          in
-          let deps =
-            match literal ~span b.Ast.bbody "depends" with
-            | Value.Vlist vs ->
-                List.map
-                  (fun v ->
-                    match Addr.of_string (Value.to_string v) with
-                    | Some a -> a
-                    | None -> corrupt ~span "state: bad dep address")
-                  vs
-            | _ -> corrupt ~span "state: depends must be a list"
-          in
-          let r =
+  (* outputs are collected in reverse, and reversed once at the end *)
+  let outputs = ref [] in
+  let st =
+    List.fold_left
+      (fun acc (b : Ast.block) ->
+        match (b.Ast.btype, b.Ast.labels) with
+        | "state", _ ->
+            let serial =
+              Value.to_int (literal ~span:b.Ast.bspan b.Ast.bbody "serial")
+            in
+            { acc with serial }
+        | "instance", [ addr_str ] ->
+            let span = b.Ast.bspan in
+            let addr =
+              match Addr.of_string addr_str with
+              | Some a -> a
+              | None -> corrupt ~span "state: bad address %s" addr_str
+            in
+            let attrs =
+              match literal ~span b.Ast.bbody "attributes" with
+              | Value.Vmap m -> m
+              | _ -> corrupt ~span "state: attributes must be an object"
+            in
+            let deps =
+              match literal ~span b.Ast.bbody "depends" with
+              | Value.Vlist vs ->
+                  List.map
+                    (fun v ->
+                      match Addr.of_string (Value.to_string v) with
+                      | Some a -> a
+                      | None -> corrupt ~span "state: bad dep address")
+                    vs
+              | _ -> corrupt ~span "state: depends must be a list"
+            in
+            let r =
+              {
+                addr;
+                cloud_id = Value.to_string (literal ~span b.Ast.bbody "cloud_id");
+                rtype = Value.to_string (literal ~span b.Ast.bbody "type");
+                region = Value.to_string (literal ~span b.Ast.bbody "region");
+                attrs;
+                deps;
+              }
+            in
             {
-              addr;
-              cloud_id = Value.to_string (literal ~span b.Ast.bbody "cloud_id");
-              rtype = Value.to_string (literal ~span b.Ast.bbody "type");
-              region = Value.to_string (literal ~span b.Ast.bbody "region");
-              attrs;
-              deps;
+              acc with
+              resources = Amap.add addr r acc.resources;
+              cloud_index = None;
             }
-          in
-          {
-            acc with
-            resources = Amap.add addr r acc.resources;
-            cloud_index = None;
-          }
-      | "output", [ name ] ->
-          let v = literal ~span:b.Ast.bspan b.Ast.bbody "value" in
-          { acc with outputs = acc.outputs @ [ (name, v) ] }
-      | ty, _ -> corrupt ~span:b.Ast.bspan "state: unexpected block %s" ty)
-    empty body.Ast.blocks
+        | "output", [ name ] ->
+            let v = literal ~span:b.Ast.bspan b.Ast.bbody "value" in
+            outputs := (name, v) :: !outputs;
+            acc
+        | ty, _ -> corrupt ~span:b.Ast.bspan "state: unexpected block %s" ty)
+      empty body.Ast.blocks
+  in
+  { st with outputs = List.rev !outputs }
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -128,6 +128,19 @@ if (( addr_map_count > ADDR_MAP_BASELINE )); then
   exit 1
 fi
 
+# -- linear HCL front-end gate ---------------------------------------
+# The lexer, parser, config assembly and state loader do their work
+# once per token or block of the user's files.  An `@ [ x ]` append
+# there copies everything collected so far, which made Config.parse
+# quadratic in the block count: collect in reverse and reverse once.
+HCL_APPEND_BASELINE=0
+# (grep exits 1 when it finds none, which pipefail would turn into a failure)
+hcl_append_count=$({ grep -o '@ \[' lib/hcl/lexer.ml lib/hcl/parser.ml lib/hcl/config.ml lib/state/state.ml || true; } | wc -l)
+if (( hcl_append_count > HCL_APPEND_BASELINE )); then
+  echo "check.sh: ${hcl_append_count} '@ [' appends in the HCL front end or state loader (baseline ${HCL_APPEND_BASELINE}) — collect in reverse and reverse once" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

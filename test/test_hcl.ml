@@ -101,6 +101,13 @@ let test_lex_heredoc_indent () =
   in
   check bool_ "indented heredoc strips common prefix" true found
 
+let test_lex_bad_exponent () =
+  match Lexer.tokenize ~file:"t" "a = 1e" with
+  | exception Lexer.Error (msg, span) ->
+      check string_ "message" "invalid number \"1e\"" msg;
+      check string_ "span" "t:1:5-7" (Loc.to_string span)
+  | _ -> Alcotest.fail "expected lexer error"
+
 let test_lex_error_position () =
   match Lexer.tokenize ~file:"t" "a = @" with
   | exception Lexer.Error (_, span) ->
@@ -236,8 +243,105 @@ resource "a_b" "x" {}
 resource "a_b" "x" {}
 |} in
   match Config.parse ~file:"t" src with
-  | exception Config.Config_error _ -> ()
+  | exception Config.Config_error (msg, span) ->
+      check string_ "message" "duplicate resource a_b.x" msg;
+      check string_ "span is the second block" "t:3:1-22" (Loc.to_string span)
   | _ -> Alcotest.fail "expected duplicate-resource error"
+
+let config_error f =
+  match f () with
+  | exception Config.Config_error (msg, span) -> (msg, Loc.to_string span)
+  | _ -> ("no error", "")
+
+(* Every kind of named declaration, duplicated after an unrelated one:
+   the error names the duplicate and points at its second occurrence. *)
+let test_config_duplicate_kinds () =
+  let cases =
+    [
+      ({|variable "v" {}|}, "duplicate variable \"v\"");
+      ({|data "d" "x" {}|}, "duplicate data source data.d.x");
+      ({|output "o" { value = 1 }|}, "duplicate output \"o\"");
+      ({|module "m" { source = "./m" }|}, "duplicate module \"m\"");
+      ("locals {\n  l = 1\n}", "duplicate local \"l\"");
+    ]
+  in
+  List.iter
+    (fun (decl, msg) ->
+      let src = decl ^ "\nresource \"a_b\" \"x\" {}\n" ^ decl ^ "\n" in
+      let line = 2 + List.length (String.split_on_char '\n' decl) in
+      let got_msg, got_span = config_error (fun () -> Config.parse ~file:"t" src) in
+      check string_ "message" msg got_msg;
+      check bool_
+        (Printf.sprintf "span %s starts on line %d" got_span line)
+        true
+        (String.starts_with ~prefix:(Printf.sprintf "t:%d:1-" line) got_span))
+    cases
+
+(* Blocks of every kind, interleaved: each kind keeps source order, in
+   one file and across a three-file merge. *)
+let test_config_source_order () =
+  let file k =
+    Printf.sprintf
+      {|
+variable "v%d_a" {}
+resource "r" "x%d_a" {}
+data "d" "y%d_a" {}
+locals {
+  l%d_a = 1
+  l%d_b = 2
+}
+output "o%d_a" { value = 1 }
+resource "r" "x%d_b" {}
+variable "v%d_b" {}
+output "o%d_b" { value = 2 }
+data "d" "y%d_b" {}
+locals {
+  l%d_c = 3
+}
+provider "p%d_a" {}
+provider "p%d_b" {}
+|}
+      k k k k k k k k k k k k k
+  in
+  let names (c : Config.t) =
+    ( List.map (fun (v : Config.variable) -> v.Config.vname) c.Config.variables,
+      List.map (fun (r : Config.resource) -> r.Config.rname) c.Config.resources,
+      List.map (fun (d : Config.data_source) -> d.Config.dname) c.Config.data_sources,
+      List.map (fun (o : Config.output) -> o.Config.oname) c.Config.outputs,
+      List.map fst c.Config.locals,
+      List.map (fun (p : Config.provider_config) -> p.Config.pname) c.Config.providers )
+  in
+  let expect ks =
+    let each fmt suffixes =
+      List.concat_map (fun k -> List.map (fun s -> Printf.sprintf fmt k s) suffixes) ks
+    in
+    ( each "v%d_%s" [ "a"; "b" ],
+      each "x%d_%s" [ "a"; "b" ],
+      each "y%d_%s" [ "a"; "b" ],
+      each "o%d_%s" [ "a"; "b" ],
+      each "l%d_%s" [ "a"; "b"; "c" ],
+      each "p%d_%s" [ "a"; "b" ] )
+  in
+  let ls = Alcotest.(list string) in
+  let order = Alcotest.(pair (triple ls ls ls) (triple ls ls ls)) in
+  let regroup (a, b, c, d, e, f) = ((a, b, c), (d, e, f)) in
+  let parse k = Config.parse ~file:(Printf.sprintf "f%d.tf" k) (file k) in
+  check order "one file" (regroup (expect [ 1 ])) (regroup (names (parse 1)));
+  check order "three-file merge"
+    (regroup (expect [ 1; 2; 3 ]))
+    (regroup (names (Config.merge [ parse 1; parse 2; parse 3 ])))
+
+let test_config_merge_duplicate_data () =
+  let a = Config.parse ~file:"a.tf" {|data "aws_region" "here" {}|} in
+  let b = Config.parse ~file:"b.tf" {|
+resource "r" "x" {}
+data "aws_region" "here" {}
+|} in
+  check
+    Alcotest.(pair string string)
+    "cross-file data source"
+    ("duplicate data source data.aws_region.here across files", "b.tf:3:1-28")
+    (config_error (fun () -> Config.merge [ a; b ]))
 
 let test_config_module () =
   let cfg =
@@ -496,6 +600,7 @@ let suites =
         Alcotest.test_case "heredoc" `Quick test_lex_heredoc;
         Alcotest.test_case "indented heredoc" `Quick test_lex_heredoc_indent;
         Alcotest.test_case "error position" `Quick test_lex_error_position;
+        Alcotest.test_case "exponent without digits" `Quick test_lex_bad_exponent;
       ] );
     ( "hcl.parser",
       [
@@ -517,6 +622,10 @@ let suites =
       [
         Alcotest.test_case "meta arguments" `Quick test_config_meta_args;
         Alcotest.test_case "duplicate resource" `Quick test_config_duplicate_resource;
+        Alcotest.test_case "duplicates of every kind" `Quick test_config_duplicate_kinds;
+        Alcotest.test_case "source order" `Quick test_config_source_order;
+        Alcotest.test_case "cross-file data duplicate" `Quick
+          test_config_merge_duplicate_data;
         Alcotest.test_case "module call" `Quick test_config_module;
         Alcotest.test_case "multi-file merge" `Quick test_config_merge;
       ] );

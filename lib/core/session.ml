@@ -44,9 +44,10 @@ let cloud_from_state ?(trace = Trace.null)
   let cloud = Cloud.create ~config ~seed () in
   Cloud.set_trace cloud trace;
   (* phase 1: recreate every resource, collecting old-id -> new-id *)
-  let id_map = Hashtbl.create 16 in
+  let rows = Array.of_list (State.resources state) in
+  let id_map = Hashtbl.create (2 * Array.length rows) in
   let created =
-    List.map
+    Array.map
       (fun (r : State.resource_state) ->
         let cloud_id =
           Cloud.create_oob cloud ~script:"state-restore" ~rtype:r.State.rtype
@@ -54,7 +55,7 @@ let cloud_from_state ?(trace = Trace.null)
         in
         Hashtbl.replace id_map r.State.cloud_id cloud_id;
         (r, cloud_id))
-      (State.resources state)
+      rows
   in
   (* phase 2: cross-resource references in attributes point at the old
      ids; remap them so the restored cloud is internally consistent *)
@@ -69,8 +70,8 @@ let cloud_from_state ?(trace = Trace.null)
     | v -> v
   in
   let remapped =
-    List.fold_left
-      (fun acc ((r : State.resource_state), cloud_id) ->
+    Array.map
+      (fun ((r : State.resource_state), cloud_id) ->
         let attrs = Hcl.Value.Smap.map remap r.State.attrs in
         Cloud.restore_attrs cloud ~cloud_id ~attrs;
         let attrs =
@@ -78,10 +79,12 @@ let cloud_from_state ?(trace = Trace.null)
           | Some live -> live.Cloud.attrs
           | None -> attrs
         in
-        State.add acc { r with State.cloud_id; attrs })
-      State.empty created
+        (r.State.addr, { r with State.cloud_id; attrs }))
+      created
   in
-  (cloud, remapped)
+  (* the rows are still in address order; the serial counts one write
+     per restored row *)
+  (cloud, State.of_sorted_rows ~serial:(Array.length remapped) remapped)
 
 let data_resolver ~rtype ~name:_ ~args:_ =
   match rtype with

@@ -38,6 +38,36 @@ let to_string a =
 
 let pp ppf a = Fmt.string ppf (to_string a)
 
+(* Fast path for writers: almost every address is [rtype.rname] or
+   [rtype.rname[i]] out of plain identifiers, with no module path, no
+   data mode and nothing to escape in a JSON string or an HCL string
+   literal, so it can be written straight into a buffer without the
+   [to_string] sprintf. *)
+let plain_chars s =
+  String.for_all
+    (fun c -> Char.code c >= 0x20 && c <> '"' && c <> '\\' && c <> '$')
+    s
+
+(** Whether {!add_plain} can write [a]: its rendering needs no
+    escaping in a JSON string or an HCL string literal. *)
+let is_plain a =
+  a.module_path = [] && a.mode = Managed
+  && (match a.key with Kstr _ -> false | Knone | Kint _ -> true)
+  && plain_chars a.rtype && plain_chars a.rname
+
+(** Append [to_string a] to [buf]; [a] must satisfy {!is_plain}. *)
+let add_plain buf a =
+  Buffer.add_string buf a.rtype;
+  Buffer.add_char buf '.';
+  Buffer.add_string buf a.rname;
+  match a.key with
+  | Knone -> ()
+  | Kint i ->
+      Buffer.add_char buf '[';
+      Buffer.add_string buf (string_of_int i);
+      Buffer.add_char buf ']'
+  | Kstr _ -> invalid_arg "Addr.add_plain: string key"
+
 (* Hand-specialized structural compare, byte-for-byte the same order
    [Stdlib.compare] produces on this type (field by field; [Knone] <
    [Kint _] < [Kstr _] because constant constructors order before

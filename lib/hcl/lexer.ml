@@ -358,18 +358,20 @@ and lex_heredoc st start : Token.t =
   if peek st = '\n' then advance st
   else error st start "expected newline after heredoc tag";
   (* Collect raw lines until a line equal to the tag (modulo leading
-     whitespace when in indent mode). *)
-  let read_line () =
-    let from = st.pos in
-    skip_to st (scan_while st.src not_newline from);
-    if at_end st then error st start "unterminated heredoc";
-    advance st;
-    String.sub st.src from (st.pos - 1 - from)
-  in
+     whitespace when in indent mode).  The newline after the closing
+     tag is left for the parser: it ends the attribute.  The tag may
+     also end the input. *)
   let strip s = String.trim s in
   let rec collect acc =
-    let l = read_line () in
-    if strip l = tag then List.rev acc else collect (l :: acc)
+    let from = st.pos in
+    skip_to st (scan_while st.src not_newline from);
+    let l = String.sub st.src from (st.pos - from) in
+    if strip l = tag then List.rev acc
+    else if at_end st then error st start "unterminated heredoc"
+    else begin
+      advance st;
+      collect (l :: acc)
+    end
   in
   let lines = collect [] in
   let lines =

@@ -443,42 +443,51 @@ and parse_object_or_for st span =
 (* Blocks and bodies                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_body st : Ast.body =
-  let attrs = ref [] and blocks = ref [] in
-  let rec loop () =
-    skip_newlines st;
-    match peek st with
-    | Token.RBRACE | Token.EOF -> ()
-    | Token.IDENT name -> (
-        let span = peek_span st in
-        advance st;
-        match peek st with
-        | Token.ASSIGN ->
-            advance st;
-            skip_newlines_in_expr st;
-            let value = parse_expr st in
-            attrs :=
-              { Ast.aname = name; avalue = value; aspan = Loc.merge span st.last }
-              :: !attrs;
-            (match peek st with
-            | Token.NEWLINE | Token.RBRACE | Token.EOF -> ()
-            | t ->
-                error st
-                  (Printf.sprintf "expected newline after attribute, found %s"
-                     (Token.describe t)));
-            loop ()
-        | Token.LBRACE | Token.QUOTED _ | Token.IDENT _ ->
-            let b = parse_block_after_type st name span in
-            blocks := b :: !blocks;
-            loop ()
-        | t ->
-            error st
-              (Printf.sprintf "expected '=' or '{' after %S, found %s" name
-                 (Token.describe t)))
-    | t -> error st (Printf.sprintf "unexpected %s in body" (Token.describe t))
+(** One entry of a body; [End] at the brace or end of input that closes
+    it. *)
+type item = Attribute of Ast.attribute | Block of Ast.block | End
+
+(* The attributes and blocks [next st] yields, in source order. *)
+let collect_body next st : Ast.body =
+  let rec loop attrs blocks =
+    match next st with
+    | End -> { Ast.attrs = List.rev attrs; blocks = List.rev blocks }
+    | Attribute a -> loop (a :: attrs) blocks
+    | Block b -> loop attrs (b :: blocks)
   in
-  loop ();
-  { Ast.attrs = List.rev !attrs; blocks = List.rev !blocks }
+  loop [] []
+
+(* The next entry of the body under the cursor.  Nested bodies and the
+   top-level {!next} both pull from this one loop. *)
+let rec next_item st : item =
+  skip_newlines st;
+  match peek st with
+  | Token.RBRACE | Token.EOF -> End
+  | Token.IDENT name -> (
+      let span = peek_span st in
+      advance st;
+      match peek st with
+      | Token.ASSIGN ->
+          advance st;
+          skip_newlines_in_expr st;
+          let value = parse_expr st in
+          let a =
+            { Ast.aname = name; avalue = value; aspan = Loc.merge span st.last }
+          in
+          (match peek st with
+          | Token.NEWLINE | Token.RBRACE | Token.EOF -> ()
+          | t ->
+              error st
+                (Printf.sprintf "expected newline after attribute, found %s"
+                   (Token.describe t)));
+          Attribute a
+      | Token.LBRACE | Token.QUOTED _ | Token.IDENT _ ->
+          Block (parse_block_after_type st name span)
+      | t ->
+          error st
+            (Printf.sprintf "expected '=' or '{' after %S, found %s" name
+               (Token.describe t)))
+  | t -> error st (Printf.sprintf "unexpected %s in body" (Token.describe t))
 
 and parse_block_after_type st btype span : Ast.block =
   let labels = ref [] in
@@ -501,7 +510,7 @@ and parse_block_after_type st btype span : Ast.block =
   in
   labels_loop ();
   expect st Token.LBRACE;
-  let body = parse_body st in
+  let body = collect_body next_item st in
   expect st Token.RBRACE;
   {
     Ast.btype;
@@ -510,19 +519,29 @@ and parse_block_after_type st btype span : Ast.block =
     bspan = Loc.merge span st.last;
   }
 
-let parse_config st : Ast.body =
-  let body = parse_body st in
-  skip_newlines st;
-  if peek st <> Token.EOF then
-    error st
-      (Printf.sprintf "unexpected %s at top level" (Token.describe (peek st)));
-  body
+(** A configuration file being read one top-level entry at a time. *)
+type items = state
 
-(** Parse a configuration file from source text.  Tokens are pulled
-    from the lexer as the parser needs them, so whichever error comes
-    first in the source is the one raised: an {!Error} at a token
-    wins over a {!Lexer.Error} further on. *)
-let parse ~file src : Ast.body = parse_config (of_lexer (Lexer.make ~file src))
+(** Start reading the top level of [src].  Tokens are pulled from the
+    lexer as the parser needs them, so whichever error comes first in
+    the source is the one raised: an {!Error} at a token wins over a
+    {!Lexer.Error} further on. *)
+let items ~file src : items = of_lexer (Lexer.make ~file src)
+
+(** The next top-level attribute or block, fully parsed; at the end of
+    input, [End] (again on every further call).  Nothing before it is
+    retained, so a caller that decodes and drops each entry never holds
+    the whole file's AST. *)
+let next (st : items) : item =
+  match next_item st with
+  | End when peek st <> Token.EOF ->
+      error st
+        (Printf.sprintf "unexpected %s at top level" (Token.describe (peek st)))
+  | item -> item
+
+(** Parse a configuration file from source text: every entry {!next}
+    yields. *)
+let parse ~file src : Ast.body = collect_body next (items ~file src)
 
 (** Parse a single standalone expression (used by the REPL-ish tools and
     by tests). *)

@@ -33,21 +33,33 @@ let binop_prec = function
   | Add | Sub -> 5
   | Mul | Div | Mod -> 6
 
-let escape_template_lit s =
-  let buf = Buffer.create (String.length s) in
-  String.iteri
-    (fun i c ->
+(* The text of a string literal's [Lit] part, escaped so that it lexes
+   back to [s].  Clean runs (most literals are one) are copied with one
+   [add_substring]. *)
+let add_template_lit buf s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if
       match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '$'
-        when i + 1 < String.length s && s.[i + 1] = '{' ->
-          Buffer.add_string buf "\\$"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+      | '"' | '\\' | '\n' | '\t' -> true
+      | '$' -> i + 1 < n && String.unsafe_get s (i + 1) = '{'
+      | _ -> false
+    then begin
+      if i > !run then Buffer.add_substring buf s !run (i - !run);
+      Buffer.add_char buf '\\';
+      Buffer.add_char buf (match c with '\n' -> 'n' | '\t' -> 't' | c -> c);
+      run := i + 1
+    end
+  done;
+  if n > !run then Buffer.add_substring buf s !run (n - !run)
+
+(** [s] as a quoted HCL string literal. *)
+let add_string_lit buf s =
+  Buffer.add_char buf '"';
+  add_template_lit buf s;
+  Buffer.add_char buf '"'
 
 let rec expr_to_buf buf prec e =
   match e.desc with
@@ -86,11 +98,7 @@ let rec expr_to_buf buf prec e =
           (match k with
           | Kident k ->
               if ident_like k then Buffer.add_string buf k
-              else begin
-                Buffer.add_char buf '"';
-                Buffer.add_string buf (escape_template_lit k);
-                Buffer.add_char buf '"'
-              end
+              else add_string_lit buf k
           | Kexpr e -> (
               match e.desc with
               | Template _ -> expr_to_buf buf 0 e
@@ -177,7 +185,7 @@ and template_to_buf buf parts =
   Buffer.add_char buf '"';
   List.iter
     (function
-      | Lit s -> Buffer.add_string buf (escape_template_lit s)
+      | Lit s -> add_template_lit buf s
       | Interp e ->
           Buffer.add_string buf "${";
           expr_to_buf buf 0 e;
@@ -199,6 +207,38 @@ let expr_to_string e =
   expr_to_buf buf 0 e;
   Buffer.contents buf
 
+(** [value_to_buf buf v] writes the literal {!Codec.value_to_expr}
+    builds for [v], byte for byte as {!expr_to_buf} prints it, without
+    building the expression.  An unknown is written as [null], the
+    value [State.sanitize] substitutes for it. *)
+let rec value_to_buf buf (v : Value.t) =
+  match v with
+  | Value.Vnull | Value.Vunknown _ -> Buffer.add_string buf "null"
+  | Value.Vbool b -> Buffer.add_string buf (string_of_bool b)
+  | Value.Vint n -> Buffer.add_string buf (string_of_int n)
+  | Value.Vfloat f -> Buffer.add_string buf (Value.float_to_string f)
+  | Value.Vstring s -> add_string_lit buf s
+  | Value.Vlist vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          value_to_buf buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | Value.Vmap m ->
+      Buffer.add_string buf "{ ";
+      let first = ref true in
+      Value.Smap.iter
+        (fun k v ->
+          if !first then first := false else Buffer.add_string buf ", ";
+          if ident_like k then Buffer.add_string buf k
+          else add_string_lit buf k;
+          Buffer.add_string buf " = ";
+          value_to_buf buf v)
+        m;
+      Buffer.add_string buf " }"
+
 let indent buf depth =
   for _ = 1 to depth do
     Buffer.add_string buf "  "
@@ -209,9 +249,8 @@ let rec block_to_buf buf depth b =
   Buffer.add_string buf b.btype;
   List.iter
     (fun label ->
-      Buffer.add_string buf " \"";
-      Buffer.add_string buf (escape_template_lit label);
-      Buffer.add_char buf '"')
+      Buffer.add_char buf ' ';
+      add_string_lit buf label)
     b.labels;
   Buffer.add_string buf " {\n";
   body_to_buf buf (depth + 1) b.bbody;

@@ -208,7 +208,7 @@ let sep buf = Buffer.add_char buf ','
    arbitrary values. *)
 
 (* One character of a rendered HCL string literal, JSON-escaped:
-   [Printer.escape_template_lit] then [Trace.json_escape], composed.
+   [Printer.add_template_lit] then [Trace.json_escape], composed.
    E.g. a literal quote becomes backslash-quote in HCL, and each of
    those two bytes is then escaped again for JSON (four bytes out). *)
 let add_hcl_str_body buf s =
@@ -281,39 +281,10 @@ let add_attrs buf k m =
   add_hcl_map_value buf m;
   Buffer.add_char buf '"'
 
-(* Address fast path: almost every address is [rtype.rname] or
-   [rtype.rname[i]] out of plain identifiers — no module path, no data
-   mode, nothing to escape in either the JSON or the HCL-string
-   context — so it can be emitted directly, skipping the
-   [Addr.to_string] sprintf.  Anything unusual falls back to the
-   rendered string. *)
-let ident_clean s =
-  String.for_all
-    (fun c -> Char.code c >= 0x20 && c <> '"' && c <> '\\' && c <> '$')
-    s
-
-let addr_plain (a : Addr.t) =
-  a.Addr.module_path = []
-  && a.Addr.mode = Addr.Managed
-  && (match a.Addr.key with Addr.Kstr _ -> false | _ -> true)
-  && ident_clean a.Addr.rtype && ident_clean a.Addr.rname
-
-let add_addr_body buf (a : Addr.t) =
-  Buffer.add_string buf a.Addr.rtype;
-  Buffer.add_char buf '.';
-  Buffer.add_string buf a.Addr.rname;
-  match a.Addr.key with
-  | Addr.Knone -> ()
-  | Addr.Kint i ->
-      Buffer.add_char buf '[';
-      Buffer.add_string buf (string_of_int i);
-      Buffer.add_char buf ']'
-  | Addr.Kstr _ -> assert false (* excluded by [addr_plain] *)
-
 let add_addr buf k a =
   add_key buf k;
   Buffer.add_char buf '"';
-  if addr_plain a then add_addr_body buf a
+  if Addr.is_plain a then Addr.add_plain buf a
   else add_escaped buf (Addr.to_string a);
   Buffer.add_char buf '"'
 
@@ -323,9 +294,9 @@ let add_deps buf k deps =
   List.iteri
     (fun i d ->
       if i > 0 then Buffer.add_string buf ", ";
-      if addr_plain d then begin
+      if Addr.is_plain d then begin
         Buffer.add_string buf "\\\"";
-        add_addr_body buf d;
+        Addr.add_plain buf d;
         Buffer.add_string buf "\\\""
       end
       else add_hcl_string buf (Addr.to_string d))

@@ -154,8 +154,8 @@ let corrupt ?(span = Loc.dummy) fmt =
   Cloudless_error.fail ~stage:Cloudless_error.Diagnostic.State_io
     ~code:"corrupt-state" ~span fmt
 
-(* Unknowns must never reach the state file; replace them defensively
-   with nulls on write. *)
+(* Unknowns must never reach the state file: the writer prints them as
+   [null], the value this substitutes. *)
 let rec sanitize (v : Value.t) : Value.t =
   match v with
   | Value.Vunknown _ -> Value.Vnull
@@ -163,77 +163,53 @@ let rec sanitize (v : Value.t) : Value.t =
   | Value.Vmap m -> Value.Vmap (Smap.map sanitize m)
   | v -> v
 
-let resource_to_block (r : resource_state) : Ast.block =
-  let attr name value = { Ast.aname = name; avalue = value; aspan = Loc.dummy } in
-  let attrs_obj =
-    Codec.value_to_expr (Value.Vmap (Smap.map sanitize r.attrs))
-  in
-  let deps_list =
-    Ast.mk
-      (Ast.ListLit
-         (List.map (fun d -> Ast.string_lit (Addr.to_string d)) r.deps))
-  in
-  {
-    Ast.btype = "instance";
-    labels = [ Addr.to_string r.addr ];
-    bbody =
-      {
-        Ast.attrs =
-          [
-            attr "cloud_id" (Ast.string_lit r.cloud_id);
-            attr "type" (Ast.string_lit r.rtype);
-            attr "region" (Ast.string_lit r.region);
-            attr "attributes" attrs_obj;
-            attr "depends" deps_list;
-          ];
-        blocks = [];
-      };
-    bspan = Loc.dummy;
-  }
+let add_addr_lit buf a =
+  if Addr.is_plain a then begin
+    Buffer.add_char buf '"';
+    Addr.add_plain buf a;
+    Buffer.add_char buf '"'
+  end
+  else Printer.add_string_lit buf (Addr.to_string a)
 
+let add_row buf (r : resource_state) =
+  Buffer.add_string buf "\ninstance ";
+  add_addr_lit buf r.addr;
+  Buffer.add_string buf " {\n  cloud_id   = ";
+  Printer.add_string_lit buf r.cloud_id;
+  Buffer.add_string buf "\n  type       = ";
+  Printer.add_string_lit buf r.rtype;
+  Buffer.add_string buf "\n  region     = ";
+  Printer.add_string_lit buf r.region;
+  Buffer.add_string buf "\n  attributes = ";
+  Printer.value_to_buf buf (Value.Vmap r.attrs);
+  Buffer.add_string buf "\n  depends    = [";
+  List.iteri
+    (fun i d ->
+      if i > 0 then Buffer.add_string buf ", ";
+      add_addr_lit buf d)
+    r.deps;
+  Buffer.add_string buf "]\n}\n"
+
+(** The state as HCL: a [state] block, one [instance] block per
+    resource in address order, then one [output] block per output,
+    written straight into one buffer.  Unknowns are written as
+    [null]. *)
 let to_string t =
-  let header =
-    {
-      Ast.btype = "state";
-      labels = [];
-      bbody =
-        {
-          Ast.attrs =
-            [
-              { Ast.aname = "serial"; avalue = Ast.mk (Ast.Int t.serial); aspan = Loc.dummy };
-            ];
-          blocks = [];
-        };
-      bspan = Loc.dummy;
-    }
-  in
-  let output_blocks =
-    List.map
-      (fun (name, v) ->
-        {
-          Ast.btype = "output";
-          labels = [ name ];
-          bbody =
-            {
-              Ast.attrs =
-                [
-                  {
-                    Ast.aname = "value";
-                    avalue = Codec.value_to_expr (sanitize v);
-                    aspan = Loc.dummy;
-                  };
-                ];
-              blocks = [];
-            };
-          bspan = Loc.dummy;
-        })
-      t.outputs
-  in
-  Printer.config_to_string
-    {
-      Ast.attrs = [];
-      blocks = (header :: List.map resource_to_block (resources t)) @ output_blocks;
-    }
+  (* a typical row is about 400 bytes: one buffer, rarely regrown *)
+  let buf = Buffer.create (4096 + (512 * Amap.cardinal t.resources)) in
+  Buffer.add_string buf "state {\n  serial = ";
+  Buffer.add_string buf (string_of_int t.serial);
+  Buffer.add_string buf "\n}\n";
+  Amap.fold (fun _ r () -> add_row buf r) t.resources ();
+  List.iter
+    (fun (name, v) ->
+      Buffer.add_string buf "\noutput ";
+      Printer.add_string_lit buf name;
+      Buffer.add_string buf " {\n  value = ";
+      Printer.value_to_buf buf v;
+      Buffer.add_string buf "\n}\n")
+    t.outputs;
+  Buffer.contents buf
 
 let literal ?(span = Loc.dummy) body name =
   match Ast.attr body name with
@@ -246,65 +222,99 @@ let literal ?(span = Loc.dummy) body name =
             ?span:(Some (Option.value ~default:span (Ast.attr_span body name)))
             "state: %S is not literal" name)
 
-let of_string ?(file = "<state>") src =
-  let body = Parser.parse ~file src in
-  (* outputs are collected in reverse, and reversed once at the end *)
-  let outputs = ref [] in
-  let st =
-    List.fold_left
-      (fun acc (b : Ast.block) ->
-        match (b.Ast.btype, b.Ast.labels) with
-        | "state", _ ->
-            let serial =
-              Value.to_int (literal ~span:b.Ast.bspan b.Ast.bbody "serial")
-            in
-            { acc with serial }
-        | "instance", [ addr_str ] ->
-            let span = b.Ast.bspan in
-            let addr =
-              match Addr.of_string addr_str with
-              | Some a -> a
-              | None -> corrupt ~span "state: bad address %s" addr_str
-            in
-            let attrs =
-              match literal ~span b.Ast.bbody "attributes" with
-              | Value.Vmap m -> m
-              | _ -> corrupt ~span "state: attributes must be an object"
-            in
-            let deps =
-              match literal ~span b.Ast.bbody "depends" with
-              | Value.Vlist vs ->
-                  List.map
-                    (fun v ->
-                      match Addr.of_string (Value.to_string v) with
-                      | Some a -> a
-                      | None -> corrupt ~span "state: bad dep address")
-                    vs
-              | _ -> corrupt ~span "state: depends must be a list"
-            in
-            let r =
-              {
-                addr;
-                cloud_id = Value.to_string (literal ~span b.Ast.bbody "cloud_id");
-                rtype = Value.to_string (literal ~span b.Ast.bbody "type");
-                region = Value.to_string (literal ~span b.Ast.bbody "region");
-                attrs;
-                deps;
-              }
-            in
-            {
-              acc with
-              resources = Amap.add addr r acc.resources;
-              cloud_index = None;
-            }
-        | "output", [ name ] ->
-            let v = literal ~span:b.Ast.bspan b.Ast.bbody "value" in
-            outputs := (name, v) :: !outputs;
-            acc
-        | ty, _ -> corrupt ~span:b.Ast.bspan "state: unexpected block %s" ty)
-      empty body.Ast.blocks
+let decode_row span (body : Ast.body) addr_str =
+  let addr =
+    match Addr.of_string addr_str with
+    | Some a -> a
+    | None -> corrupt ~span "state: bad address %s" addr_str
   in
-  { st with outputs = List.rev !outputs }
+  let attrs =
+    match literal ~span body "attributes" with
+    | Value.Vmap m -> m
+    | _ -> corrupt ~span "state: attributes must be an object"
+  in
+  let deps =
+    match literal ~span body "depends" with
+    | Value.Vlist vs ->
+        List.map
+          (fun v ->
+            match Addr.of_string (Value.to_string v) with
+            | Some a -> a
+            | None -> corrupt ~span "state: bad dep address")
+          vs
+    | _ -> corrupt ~span "state: depends must be a list"
+  in
+  {
+    addr;
+    cloud_id = Value.to_string (literal ~span body "cloud_id");
+    rtype = Value.to_string (literal ~span body "type");
+    region = Value.to_string (literal ~span body "region");
+    attrs;
+    deps;
+  }
+
+(** Read a state file.  Top-level blocks are parsed and decoded one at
+    a time, so the first error in the source is the one raised and the
+    file's AST never exists whole.  Rows written by {!to_string} come
+    in address order and build the map in O(n); a hand-edited file out
+    of order is sorted once.  A repeated address is corrupt, reported
+    at its second block. *)
+let of_string ?(file = "<state>") src =
+  let items = Parser.items ~file src in
+  let serial = ref 0 and outputs = ref [] in
+  let rows = ref [||] and n = ref 0 in
+  (* addresses seen so far, kept only once the rows fall out of order *)
+  let seen = ref None in
+  let push span r =
+    let duplicate () =
+      corrupt ~span "state: duplicate instance %s" (Addr.to_string r.addr)
+    in
+    (match !seen with
+    | None when !n > 0 ->
+        let c = Addr.compare (fst !rows.(!n - 1)) r.addr in
+        if c = 0 then duplicate ();
+        if c > 0 then begin
+          let tbl = Hashtbl.create (2 * !n) in
+          for i = 0 to !n - 1 do
+            Hashtbl.replace tbl (fst !rows.(i)) ()
+          done;
+          seen := Some tbl
+        end
+    | _ -> ());
+    (match !seen with
+    | Some tbl ->
+        if Hashtbl.mem tbl r.addr then duplicate ();
+        Hashtbl.replace tbl r.addr ()
+    | None -> ());
+    if !n = Array.length !rows then begin
+      let grown = Array.make (max 64 (2 * !n)) (r.addr, r) in
+      Array.blit !rows 0 grown 0 !n;
+      rows := grown
+    end;
+    !rows.(!n) <- (r.addr, r);
+    incr n
+  in
+  let rec loop () =
+    match Parser.next items with
+    | Parser.End -> ()
+    | Parser.Attribute _ -> loop ()
+    | Parser.Block b ->
+        let span = b.Ast.bspan in
+        (match (b.Ast.btype, b.Ast.labels) with
+        | "state", _ ->
+            serial := Value.to_int (literal ~span b.Ast.bbody "serial")
+        | "instance", [ addr_str ] ->
+            push span (decode_row span b.Ast.bbody addr_str)
+        | "output", [ name ] ->
+            outputs := (name, literal ~span b.Ast.bbody "value") :: !outputs
+        | ty, _ -> corrupt ~span "state: unexpected block %s" ty);
+        loop ()
+  in
+  loop ();
+  let rows = Array.sub !rows 0 !n in
+  if Option.is_some !seen then
+    Array.sort (fun (a, _) (b, _) -> Addr.compare a b) rows;
+  of_sorted_rows ~outputs:(List.rev !outputs) ~serial:!serial rows
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

@@ -141,6 +141,18 @@ if (( hcl_append_count > HCL_APPEND_BASELINE )); then
   exit 1
 fi
 
+# -- streamed state file gate ----------------------------------------
+# The state file is read one top-level block at a time (Parser.items /
+# Parser.next) and written straight into one buffer, so the whole
+# file's AST never exists.  A `Parser.parse ` or `config_to_string` in
+# the state module means its I/O went back to whole-file ASTs.
+STATE_AST_BASELINE=0
+state_ast_count=$({ grep -oE 'Parser\.parse |config_to_string' lib/state/state.ml || true; } | wc -l)
+if (( state_ast_count > STATE_AST_BASELINE )); then
+  echo "check.sh: ${state_ast_count} whole-file AST uses in lib/state/state.ml (baseline ${STATE_AST_BASELINE}) — stream the state file" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

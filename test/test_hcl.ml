@@ -101,6 +101,40 @@ let test_lex_heredoc_indent () =
   in
   check bool_ "indented heredoc strips common prefix" true found
 
+(* The newline after a closing tag ends the attribute, so another
+   attribute may follow the heredoc. *)
+let heredoc_then_attribute src expect_doc =
+  match Parser.parse ~file:"t" src with
+  | { Ast.blocks = [ { Ast.bbody = { Ast.attrs = [ doc; ami ]; _ }; _ } ]; _ } ->
+      check string_ "heredoc attribute" "user_data" doc.Ast.aname;
+      check bool_ "heredoc body" true
+        (Value.equal (Value.Vstring expect_doc) (Eval.eval_expr doc.Ast.avalue));
+      check string_ "next attribute" "ami" ami.Ast.aname;
+      check bool_ "next value" true
+        (Value.equal (Value.Vstring "x") (Eval.eval_expr ami.Ast.avalue))
+  | _ -> Alcotest.fail "expected one block with two attributes"
+
+let test_lex_heredoc_then_attribute () =
+  heredoc_then_attribute
+    "resource \"a_b\" \"c\" {\n  user_data = <<EOF\nhi\nEOF\n  ami = \"x\"\n}\n"
+    "hi\n"
+
+let test_lex_indented_heredoc_then_attribute () =
+  heredoc_then_attribute
+    "resource \"a_b\" \"c\" {\n  user_data = <<-EOT\n    hi\n    EOT\n  ami = \"x\"\n}\n"
+    "hi\n"
+
+let test_lex_heredoc_tag_at_end () =
+  check bool_ "closing tag with no newline after it" true
+    (Value.equal (Value.Vstring "hi\n")
+       (Eval.eval_expr (Parser.parse_expr_string "<<EOF\nhi\nEOF")));
+  let src = "<<EOF\nhi\nEOF" in
+  match Lexer.tokenize ~file:"t" src with
+  | [ { Token.tok = Token.HEREDOC _; span }; { Token.tok = Token.EOF; _ } ] ->
+      check int_ "heredoc ends at the tag" (String.length src)
+        span.Loc.end_pos.Loc.offset
+  | _ -> Alcotest.fail "expected a heredoc, then EOF"
+
 let test_lex_bad_exponent () =
   match Lexer.tokenize ~file:"t" "a = 1e" with
   | exception Lexer.Error (msg, span) ->
@@ -599,6 +633,12 @@ let suites =
         Alcotest.test_case "nested interpolation" `Quick test_lex_nested_interp;
         Alcotest.test_case "heredoc" `Quick test_lex_heredoc;
         Alcotest.test_case "indented heredoc" `Quick test_lex_heredoc_indent;
+        Alcotest.test_case "attribute after heredoc" `Quick
+          test_lex_heredoc_then_attribute;
+        Alcotest.test_case "attribute after indented heredoc" `Quick
+          test_lex_indented_heredoc_then_attribute;
+        Alcotest.test_case "heredoc tag at end of input" `Quick
+          test_lex_heredoc_tag_at_end;
         Alcotest.test_case "error position" `Quick test_lex_error_position;
         Alcotest.test_case "exponent without digits" `Quick test_lex_bad_exponent;
       ] );

@@ -40,7 +40,8 @@ module Activity_log = Cloudless_sim.Activity_log
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module Cloud_rules = Cloudless_schema.Cloud_rules
-module Control_plane = Cloudless_controlplane.Control_plane
+module Shard = Cloudless_controlplane.Shard
+module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
 module Metrics = Cloudless_obs.Metrics
 
@@ -68,16 +69,17 @@ let scenario tenants =
     duration = 1800.;
   }
 
+(* The single-loop service: a one-shard fleet. *)
 let run_service ?crash ~preset ~scn ~seed () =
   let cloud = service_cloud ~seed in
   let config = Scenario.service_config scn preset in
-  let cp = ref (Control_plane.create ~cloud config) in
-  let injections = Scenario.install scn cp in
+  let cp = ref (Fleet.create ~cloud ~shards:1 config) in
+  let injections = Scenario.install_fleet scn cp in
   (match crash with
-  | Some k -> Control_plane.set_crash !cp (Failure.Crash_after k)
+  | Some k -> Fleet.set_crash !cp (Failure.Crash_after k)
   | None -> ());
   let crashed =
-    match Control_plane.run !cp ~until:scn.Scenario.duration with
+    match Fleet.run !cp ~until:scn.Scenario.duration with
     | () -> false
     | exception Failure.Engine_crashed _ -> true
   in
@@ -86,7 +88,7 @@ let run_service ?crash ~preset ~scn ~seed () =
 (* Join the scenario's injection log with the service's detection log:
    latency of the first detection at or after each injection. *)
 let drift_latencies cp injections =
-  let detections = Control_plane.drift_detections cp in
+  let detections = Fleet.drift_detections cp in
   List.map
     (fun (inj : Scenario.injection) ->
       match
@@ -129,14 +131,14 @@ let measure_leg ~preset ~scn ~seed =
   let cp, injections, crashed = run_service ~preset ~scn ~seed () in
   if crashed then failwith "e14: unexpected crash in measurement leg";
   let cp = !cp in
-  let m = Control_plane.metrics cp in
+  let m = Fleet.metrics cp in
   let expected = scn.Scenario.tenants * scn.Scenario.requests_per_tenant in
   if Metrics.counter m "requests_done" <> expected then
     failwith
       (Printf.sprintf "e14: %d/%d requests completed"
          (Metrics.counter m "requests_done")
          expected);
-  if Control_plane.orphans cp <> [] then failwith "e14: orphaned resources";
+  if Fleet.orphans cp <> [] then failwith "e14: orphaned resources";
   if List.length injections <> scn.Scenario.drift_events then
     failwith "e14: not all drift injections fired";
   if Metrics.counter m "policy_ticks" = 0 then failwith "e14: policy never ticked";
@@ -148,13 +150,11 @@ let measure_leg ~preset ~scn ~seed =
   in
   let makespan =
     List.fold_left
-      (fun acc (_, at) -> Float.max acc at)
+      (fun acc (_, _, at) -> Float.max acc at)
       0.
-      (Control_plane.completed_requests cp)
+      (Fleet.completed_requests cp)
   in
-  let _, lock_waits =
-    Cloudless_lock.Lock_manager.stats (Control_plane.lock cp)
-  in
+  let _, lock_waits = Fleet.lock_stats cp in
   {
     p50 = pctl "request_latency" 50.;
     p99 = pctl "request_latency" 99.;
@@ -202,30 +202,26 @@ let run_crash_leg ~seed =
   in
   let crash_after = 30 in
   let cp_ref, _, crashed =
-    run_service ~crash:crash_after ~preset:Control_plane.cloudless_service
-      ~scn ~seed ()
+    run_service ~crash:crash_after ~preset:Shard.cloudless_service ~scn ~seed
+      ()
   in
   if not crashed then failwith "e14: crash leg did not crash";
-  let fresh, _reports = Control_plane.resume !cp_ref in
+  let fresh, _reports = Fleet.resume !cp_ref in
   cp_ref := fresh;
-  Control_plane.run fresh ~until:scn.Scenario.duration;
+  Fleet.run fresh ~until:scn.Scenario.duration;
   let expected_managed = tenants * resources in
-  let managed = Control_plane.managed_resource_count fresh in
-  let dup_creates = engine_creates (Control_plane.cloud fresh) - managed in
+  let managed = Fleet.managed_resource_count fresh in
+  let dup_creates = engine_creates (Fleet.cloud fresh) - managed in
   let replans_empty =
     List.for_all
-      (fun (d : Control_plane.deployment) ->
-        let instances =
-          Control_plane.expand ~state:d.Control_plane.state
-            d.Control_plane.config_src
-        in
-        Plan.is_empty
-          (Plan.make ~state:d.Control_plane.state instances))
-      (Control_plane.deployments fresh)
+      (fun (d : Shard.deployment) ->
+        let instances = Shard.expand ~state:d.Shard.state d.Shard.config_src in
+        Plan.is_empty (Plan.make ~state:d.Shard.state instances))
+      (Fleet.deployments fresh)
   in
   {
     crash_after;
-    orphans = List.length (Control_plane.orphans fresh);
+    orphans = List.length (Fleet.orphans fresh);
     dup_creates;
     managed;
     expected_managed;
@@ -236,10 +232,9 @@ let run_crash_leg ~seed =
 
 let snapshot_of_run ~seed =
   let cp_ref, _, _ =
-    run_service ~preset:Control_plane.cloudless_service ~scn:(scenario 4)
-      ~seed ()
+    run_service ~preset:Shard.cloudless_service ~scn:(scenario 4) ~seed ()
   in
-  Metrics.to_json (Control_plane.metrics !cp_ref)
+  Metrics.to_json (Fleet.metrics !cp_ref)
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -353,12 +348,8 @@ let run () =
     List.map
       (fun tenants ->
         let scn = scenario tenants in
-        let cp =
-          measure_leg ~preset:Control_plane.cloudless_service ~scn ~seed
-        in
-        let base =
-          measure_leg ~preset:Control_plane.baseline_service ~scn ~seed
-        in
+        let cp = measure_leg ~preset:Shard.cloudless_service ~scn ~seed in
+        let base = measure_leg ~preset:Shard.baseline_service ~scn ~seed in
         row widths
           [
             string_of_int tenants;

@@ -34,7 +34,6 @@ module Activity_log = Cloudless_sim.Activity_log
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module Cloud_rules = Cloudless_schema.Cloud_rules
-module Control_plane = Cloudless_controlplane.Control_plane
 module Shard = Cloudless_controlplane.Shard
 module Fleet = Cloudless_controlplane.Fleet
 module Scenario = Cloudless_controlplane.Scenario
@@ -166,17 +165,16 @@ let measure_fleet_leg ~scn ~seed =
     digest = Fleet.state_digest fleet;
   }
 
-(* The E14-style single-loop engine with per-deployment tailer polling:
-   the mgmt-reads baseline the subscriptions are measured against. *)
+(* The E14-style single-loop engine (a one-shard fleet) with
+   per-deployment tailer polling: the mgmt-reads baseline the
+   subscriptions are measured against. *)
 let measure_tailer_leg ~scn ~seed =
   let cloud = service_cloud ~seed in
-  let config =
-    Scenario.service_config scn Control_plane.cloudless_service
-  in
-  let cp = ref (Control_plane.create ~cloud config) in
-  let injections = Scenario.install scn cp in
-  Control_plane.run !cp ~until:scn.Scenario.duration;
-  let m = Control_plane.metrics !cp in
+  let config = Scenario.service_config scn Shard.cloudless_service in
+  let cp = ref (Fleet.create ~cloud ~shards:1 config) in
+  let injections = Scenario.install_fleet scn cp in
+  Fleet.run !cp ~until:scn.Scenario.duration;
+  let m = Fleet.metrics !cp in
   if List.length !injections <> scn.Scenario.drift_events then
     failwith "e15: tailer leg injections did not fire";
   let polls = Metrics.counter m "log_polls" in

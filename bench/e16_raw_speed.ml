@@ -29,8 +29,10 @@
    {1, 2, 4}.  The merged report must be byte-identical at every
    domain count — asserted here via digests over the applied order,
    makespan, counters, and the rendered state — and the leg records
-   wall times and speedups (meaningful only when the host actually has
-   cores; the JSON carries [cores] so readers can tell).
+   the median wall time of {!domain_reps} warm runs per width and its
+   speedup over the warm --domains 1 median (meaningful only when the
+   host actually has cores; the JSON carries [cores] so readers can
+   tell).
 
    Results land in BENCH_raw.json; `--quick` runs a small sweep into
    BENCH_raw_quick.json (gitignored).  `--resources N` overrides the
@@ -158,10 +160,15 @@ type domain_sample = {
   domains : int;  (** requested width (0 = size to the machine) *)
   effective : int;  (** what the pool actually ran: capped at
                         [min components cores] (see {!Shard.report}) *)
-  dwall_s : float;
-  speedup : float;  (** vs the domains=1 run of the same plan *)
+  dwall_s : float;  (** median of {!domain_reps} warm runs *)
+  speedup : float;  (** vs the warm domains=1 median of the same plan *)
   digest : string;
 }
+
+(* Timed runs per width.  The speedup is a ratio of medians: one run
+   per width moved the 2-domain ratio from 0.93x to 1.62x between
+   invocations. *)
+let domain_reps = 5
 
 (* Everything observable about a sharded apply, digested; any
    domain-count dependence whatsoever changes the hex. *)
@@ -186,6 +193,8 @@ let report_digest (r : Shard.report) =
 let run_domains ~n ~fleets =
   let instances = Workload.fleet_instances ~fleets ~resources:n () in
   let plan = Plan.make ~state:State.empty instances in
+  (* (effective width, wall, digest, shard count); the report itself is
+     dropped so only one applied state is live at a time *)
   let run domains =
     let r =
       Shard.apply
@@ -193,28 +202,35 @@ let run_domains ~n ~fleets =
         ~domains ~config:Executor.cloudless_config ~state:State.empty ~plan ()
     in
     assert (Shard.succeeded r);
-    (r, report_digest r)
+    (r.Shard.domains, r.Shard.wall_s, report_digest r, List.length r.Shard.shards)
   in
-  let base, base_digest = run 1 in
+  (* the first apply pays the cold heap and caches; it only sets the
+     reference digest *)
+  let _, _, base_digest, shards = run 1 in
+  let measure d =
+    let runs = List.init domain_reps (fun _ -> run d) in
+    (* output is byte-identical at any domain count — including 0, the
+       auto-detected width *)
+    List.iter (fun (_, _, digest, _) -> assert (digest = base_digest)) runs;
+    let walls = List.sort compare (List.map (fun (_, w, _, _) -> w) runs) in
+    let effective, _, _, _ = List.hd runs in
+    (d, effective, List.nth walls (domain_reps / 2))
+  in
+  let measured = List.map measure [ 1; 2; 4; 0 ] in
+  let _, _, base_wall = List.hd measured in
   let samples =
     List.map
-      (fun d ->
-        let r, digest = run d in
-        (* the tentpole's hard invariant: output is byte-identical at
-           any domain count — including 0, the auto-detected width *)
-        assert (digest = base_digest);
+      (fun (d, effective, wall) ->
         {
           domains = d;
-          effective = r.Shard.domains;
-          dwall_s = r.Shard.wall_s;
-          speedup =
-            (if r.Shard.wall_s > 0. then base.Shard.wall_s /. r.Shard.wall_s
-             else 0.);
-          digest;
+          effective;
+          dwall_s = wall;
+          speedup = (if wall > 0. then base_wall /. wall else 0.);
+          digest = base_digest;
         })
-      [ 1; 2; 4; 0 ]
+      measured
   in
-  (samples, List.length base.Shard.shards)
+  (samples, shards)
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

@@ -209,7 +209,7 @@ let serve_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"SCENARIO"
           ~doc:
-            "Scenario file (key = value lines: tenants, resources, \
+            "Scenario file (key = value lines: tenants, shards, resources, \
              requests_per_tenant, request_interval, drift_events, \
              drift_period, policy_period, duration)")
   in
@@ -236,9 +236,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "shards" ] ~docv:"N"
           ~doc:
-            "Run the scenario on the E15 multi-shard fleet with $(docv) \
-             shards (consistent-hash tenant placement, push-based drift via \
-             activity-log subscriptions) instead of the single event loop")
+            "Run the scenario's fleet on $(docv) shards (consistent-hash \
+             tenant placement, push-based drift via activity-log \
+             subscriptions); overrides the scenario's $(b,shards) key")
   in
   let queue_bound_arg =
     Arg.(
@@ -288,8 +288,7 @@ let serve_cmd =
       & info [ "waves" ] ~docv:"BOOL"
           ~doc:
             "Bulk-change wave rollouts: $(b,false) strips the scenario's \
-             $(b,wave =) lines; $(b,true) keeps them (the default; they run \
-             only with --shards)")
+             $(b,wave =) lines; $(b,true) keeps them (the default)")
   in
   let run scenario_path seed engine trace_path ticks metrics_path shards
       queue_bound admission episodes breaker waves =

@@ -99,9 +99,7 @@ let create ?cloud ?(trace = Trace.null) ?metrics ?(shards = 2)
         raise (Failure.Engine_crashed k)
     | _ -> ()
   in
-  let host =
-    { Shard.gate; alive = (fun () -> not !dead); on_policy = None }
-  in
+  let host = { Shard.gate; alive = (fun () -> not !dead) } in
   let mk sid =
     Shard.create ~sid ~cloud ~config
       ~scope:(Metrics.scoped registry (Some (Printf.sprintf "shard%d" sid)))
@@ -154,6 +152,13 @@ let deployments t =
 
 let managed_resource_count t =
   Array.fold_left (fun acc s -> acc + Shard.managed_resource_count s) 0 t.shards
+
+let lock_stats t =
+  Array.fold_left
+    (fun (g, w) s ->
+      let g', w' = Cloudless_lock.Lock_manager.stats (Shard.lock s) in
+      (g + g', w + w'))
+    (0, 0) t.shards
 
 (** (cloud_id, detected_at) across every shard plus unmanaged-entry
     detections, ordered by detection time. *)

@@ -8,7 +8,8 @@
     event to the owning tenant's shard (usually a different one —
     [cross_shard_routed] counts the hops).  Queue-depth-driven
     rebalancing moves quiescent tenants from the deepest to the
-    shallowest shard and pins them. *)
+    shallowest shard and pins them.  A one-shard fleet is the
+    single-loop service E14 measures. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Failure = Cloudless_sim.Failure
@@ -71,6 +72,9 @@ val owner_shard : t -> string -> Shard.t
 val deployments : t -> Shard.deployment list
 
 val managed_resource_count : t -> int
+
+(** Lock grants and waits summed over every shard's lock manager. *)
+val lock_stats : t -> int * int
 
 (** (cloud_id, detected_at) across every shard plus unmanaged-entry
     detections, ordered by detection time. *)

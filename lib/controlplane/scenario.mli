@@ -4,14 +4,14 @@
     multi-tenant workload: tenant/deployment counts, fleet size,
     revision cadence, out-of-band drift volume, and — since E15 —
     fleet shape (shard count, hot tenants, admission bound,
-    rebalance period).  {!install} compiles it into simulated-clock
-    callbacks against a single-loop {!Control_plane.t};
-    {!install_fleet} does the same against a multi-shard {!Fleet.t}.
+    rebalance period).  {!install_fleet} compiles it into
+    simulated-clock callbacks against a {!Fleet.t} (one shard for the
+    single-loop service of E14).
 
-    Both installers take the service by [ref] so that a crash-resume
-    mid-scenario (which builds a {e new} service instance on the same
-    cloud) does not strand the not-yet-fired request callbacks: they
-    dereference at fire time and land on the successor. *)
+    The installer takes the fleet by [ref] so that a crash-resume
+    mid-scenario (which builds a {e new} fleet on the same cloud) does
+    not strand the not-yet-fired request callbacks: they dereference at
+    fire time and land on the successor. *)
 
 (** One scheduled bulk-change rollout (E18).  One per
     [wave = start=... attr=... value=...] line; sub-keys are
@@ -80,8 +80,7 @@ val policy_src : string
 
 (** Specialize a service preset (timing knobs + policy + admission) to
     a scenario. *)
-val service_config :
-  t -> Control_plane.service_config -> Control_plane.service_config
+val service_config : t -> Shard.service_config -> Shard.service_config
 
 type injection = {
   icloud_id : string;
@@ -90,14 +89,11 @@ type injection = {
   itenant : string;  (** owning tenant at injection time *)
 }
 
-(** Register all deployments on [!cp_ref] and schedule the request
-    waves and drift injections on its cloud.  When the scenario has
-    episodes, also installs them on the cloud and schedules the
-    spot-termination waves (out-of-band deletes under the "spot"
-    script, recorded in the injection log).  Returns the injection
-    log (filled as injections actually fire). *)
-val install : t -> Control_plane.t ref -> injection list ref
-
-(** Same against a multi-shard fleet, plus hot-tenant request bursts
-    (see {!t.hot_tenants}). *)
+(** Register all deployments on [!fleet_ref] and schedule the request
+    waves, hot-tenant request bursts (see {!t.hot_tenants}) and drift
+    injections on its cloud.  When the scenario has episodes, also
+    installs them on the cloud and schedules the spot-termination waves
+    (out-of-band deletes under the "spot" script, recorded in the
+    injection log).  Returns the injection log (filled as injections
+    actually fire). *)
 val install_fleet : t -> Fleet.t ref -> injection list ref

@@ -1,23 +1,16 @@
 (** One control-plane shard: the deterministic event loop that owns a
     subset of tenants (E15).
 
-    This module is the execution engine extracted from the former
-    monolithic [Control_plane]: the prioritized work queue, lock-managed
-    admission, journaled request/reconcile/scan execution, and the
-    per-deployment drift machinery.  What it deliberately does {e not}
-    own is fleet policy — crash injection, liveness, policy-controller
-    ticks and tenant placement belong to whoever hosts the shard:
-
-    - {!Control_plane} hosts exactly one shard (the pre-E15 single-loop
-      service, byte-for-byte compatible with its old behavior);
-    - {!Fleet} hosts [N] shards behind a {!Router}, feeding each one
-      from a multiplexed activity-log subscription.
-
-    The host is injected as a {!host} record of callbacks, so a shard
-    never reaches outside its own tenant subset.  All metrics flow
-    through a {!Metrics.scope}: unlabeled for the single-loop service
-    (unchanged signal names), labeled ["shard<i>"] in a fleet (each
-    signal also recorded as ["name.shard<i>"]).
+    This module is the execution engine: the prioritized work queue,
+    lock-managed admission, journaled request/reconcile/scan execution,
+    and the per-deployment drift machinery.  What it deliberately does
+    {e not} own is fleet policy — crash injection, liveness,
+    policy-controller ticks and tenant placement belong to the
+    {!Fleet} that hosts [N] shards behind a {!Router}.  The host is
+    injected as a {!host} record of callbacks, so a shard never reaches
+    outside its own tenant subset.  All metrics flow through a
+    {!Metrics.scope} labeled ["shard<i>"]: each signal is recorded
+    under its bare (fleet-wide) name and as ["name.shard<i>"].
 
     Admission backpressure (§3.6): when [max_queue_depth] is positive
     and the shard's queue (heap + lock waiters) is at or above the
@@ -25,7 +18,7 @@
     [defer_delay] simulated seconds, preserving the original submit
     time so the latency histograms show the cost) or rejected outright,
     per the configured {!admission} policy.  Internal work — drift
-    reconciles, scan sweeps, policy ticks — always bypasses the bound:
+    reconciles, scan sweeps, rollbacks — always bypasses the bound:
     repair must not be starved by the very backlog it repairs.
 
     Degraded mode (E17): with a circuit {!Cloudless_deploy.Breaker}
@@ -157,7 +150,6 @@ type work =
       detected : float;
     }
   | Scan_sweep of { dep : deployment; swept : float }
-  | Policy_tick of { at : float }
   | Rollback_op of {
       dep : deployment;
       label : string;  (** e.g. "wave:<change>:<k>" for trace joins *)
@@ -177,13 +169,11 @@ type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
-  on_policy : (float -> unit) option;
-      (** policy-controller tick; [None] disarms the policy timer *)
 }
 
 type t = {
   cloud : Cloud.t;
-  sid : int;  (** shard index within the fleet; 0 for a single loop *)
+  sid : int;  (** shard index within the fleet *)
   config : service_config;
   host : host;
   lock : Lock_manager.t;
@@ -230,7 +220,7 @@ let on_breaker_transition t ~after ~now =
           t.degraded_since <- None
       | _ -> ())
 
-let create ?(sid = 0) ~cloud ~config ~scope ~trace ~host () =
+let create ~sid ~cloud ~config ~scope ~trace ~host () =
   let t =
     {
       cloud;
@@ -365,14 +355,12 @@ let count_api t dep ~read n =
 (* ------------------------------------------------------------------ *)
 
 (* Priority classes; FIFO within a class via the heap's insertion
-   sequence.  Tenant-facing requests outrank background repair, which
-   outranks policy bookkeeping. *)
+   sequence.  Tenant-facing requests outrank background repair. *)
 let work_class = function
   | Request _ | Rollback_op _ -> 0.
       (* a rollback is the urgent tail of a tenant-facing change:
          deprioritizing it would leave the bad revision live longer *)
   | Reconcile _ | Scan_sweep _ -> 1.
-  | Policy_tick _ -> 2.
 
 let owner_of dep ~wid = Printf.sprintf "%s#%d" dep.engine wid
 
@@ -397,9 +385,6 @@ let rec drain t =
    exactly the serialization order the QCheck property pins down. *)
 and admit t wid work =
   match work with
-  | Policy_tick { at } -> (
-      (* read-only bookkeeping: no locks *)
-      match t.host.on_policy with None -> () | Some f -> f at)
   | Request { dep; rid; src; submitted } ->
       Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
         ~keys:[ dep.root_key ] (fun () ->
@@ -435,8 +420,7 @@ and enqueue t work =
   | Reconcile { dep; _ }
   | Scan_sweep { dep; _ }
   | Rollback_op { dep; _ } ->
-      pending_incr t dep.tenant
-  | Policy_tick _ -> ());
+      pending_incr t dep.tenant);
   Pq.push t.queue ~prio:(work_class work) ~key:wid work;
   drain t
 
@@ -844,25 +828,14 @@ let rec arm_drift_timer t dep =
           arm_drift_timer t dep
       end)
 
-let rec arm_policy_timer t =
-  Cloud.schedule t.cloud ~delay:t.config.policy_period (fun () ->
-      if t.host.alive () then begin
-        enqueue t (Policy_tick { at = Cloud.now t.cloud });
-        if Cloud.now t.cloud +. t.config.policy_period <= t.until then
-          arm_policy_timer t
-      end)
-
-(** Arm this shard's periodic timers up to simulated time [until]:
-    per-deployment drift timers (tailer polls or scan sweeps — nothing
-    in [Subscribe] mode, where drift is pushed in), plus the policy
-    tick when the host installed a handler. *)
+(** Arm this shard's periodic drift timers up to simulated time
+    [until]: per-deployment tailer polls or scan sweeps — nothing in
+    [Subscribe] mode, where drift is pushed in. *)
 let arm_timers t ~until =
   t.until <- until;
-  (match t.config.drift_mode with
+  match t.config.drift_mode with
   | Subscribe -> ()
-  | Tailer | Scan -> List.iter (fun dep -> arm_drift_timer t dep) t.deployments);
-  if t.config.policy_period > 0. && t.host.on_policy <> None then
-    arm_policy_timer t
+  | Tailer | Scan -> List.iter (fun dep -> arm_drift_timer t dep) t.deployments
 
 (** Fold terminal lock-manager stats into the metrics registry; call
     once when the host's drive loop ends. *)

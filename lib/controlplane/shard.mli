@@ -1,14 +1,12 @@
 (** One control-plane shard: the deterministic event loop that owns a
     subset of tenants (E15).
 
-    The execution engine extracted from the former monolithic
-    [Control_plane]: prioritized work queue, lock-managed admission,
-    journaled request/reconcile/scan execution, per-deployment drift
-    intake, and admission backpressure.  Fleet concerns — crash
-    injection, liveness, policy ticks, tenant placement — are injected
-    through the {!host} callback record: {!Control_plane} hosts exactly
-    one shard (the pre-E15 single-loop service, behavior preserved);
-    {!Fleet} hosts [N] of them behind a {!Router}. *)
+    The execution engine: prioritized work queue, lock-managed
+    admission, journaled request/reconcile/scan execution,
+    per-deployment drift intake, and admission backpressure.  Fleet
+    concerns — crash injection and liveness — are injected through the
+    {!host} callback record; policy ticks and tenant placement stay in
+    the {!Fleet}, which hosts [N] shards behind a {!Router}. *)
 
 module Addr = Cloudless_hcl.Addr
 module Cloud = Cloudless_sim.Cloud
@@ -82,14 +80,12 @@ type host = {
   gate : unit -> unit;
       (** journaled-write crash gate, shared across the whole service *)
   alive : unit -> bool;  (** service liveness; a dead host stops draining *)
-  on_policy : (float -> unit) option;
-      (** policy-controller tick; [None] disarms the policy timer *)
 }
 
 type t
 
 val create :
-  ?sid:int ->
+  sid:int ->
   cloud:Cloud.t ->
   config:service_config ->
   scope:Metrics.scope ->
@@ -183,8 +179,8 @@ val submit_rollback :
     subscriptions feed. *)
 val ingest_drift : t -> deployment -> Drift.event list -> unit
 
-(** Arm periodic drift/policy timers up to simulated time [until].
-    [Subscribe] mode arms no drift timer. *)
+(** Arm periodic drift timers up to simulated time [until].
+    [Subscribe] mode arms none. *)
 val arm_timers : t -> until:float -> unit
 
 (** Drain the work queue; the host calls this after every simulator

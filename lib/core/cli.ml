@@ -307,18 +307,17 @@ let import ?(io = default_io) ?(no_optimize = false) ~state_path () =
    scenario file for a bounded stretch of simulated time, then print
    the service summary and (optionally) the metrics snapshot.
 
-   With [--shards N] the scenario runs on the E15 multi-shard fleet
-   instead of the single loop: consistent-hash tenant placement,
-   push-based drift via one activity-log subscription per shard, and
-   admission backpressure ([--queue-bound]/[--admission] override the
-   scenario's knobs). *)
+   The scenario runs on the E15 shard fleet ([--shards N] overrides the
+   scenario's [shards]): consistent-hash tenant placement, push-based
+   drift via one activity-log subscription per shard, and admission
+   backpressure ([--queue-bound]/[--admission] override the scenario's
+   knobs). *)
 let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
     ?ticks ?metrics_path ?shards ?queue_bound ?admission ?episodes ?breaker
     ?waves ~scenario_path () =
   protected io @@ fun () ->
   with_trace trace_path @@ fun trace ->
   let module Cloud = Cloudless_sim.Cloud in
-  let module Control_plane = Cloudless_controlplane.Control_plane in
   let module Shard = Cloudless_controlplane.Shard in
   let module Fleet = Cloudless_controlplane.Fleet in
   let module Scenario = Cloudless_controlplane.Scenario in
@@ -372,141 +371,97 @@ let serve ?(io = default_io) ?trace_path ?(seed = 42) ?(engine = Cloudless)
       ~seed ()
   in
   Trace.set_sim_clock trace (fun () -> Cloud.now cloud);
-  let finish ~config ~m ~injections ~tenants ~ndeps ~managed ~grants ~waits
-      ~orphans ~extra =
-    outf io
-      "Service %s: %d tenant(s), %d deployment(s), %d resource(s) under \
-       management after %.0f simulated seconds.\n"
-      config.Control_plane.sname tenants ndeps managed (Cloud.now cloud);
-    let pct name p =
-      match Metrics.percentile m name p with Some v -> v | None -> 0.
+  let preset =
+    match engine with
+    | Cloudless -> Shard.fleet_service
+    | Baseline -> Shard.baseline_service
+  in
+  let config = Scenario.service_config scn preset in
+  let nshards = Option.value shards ~default:scn.Scenario.shards in
+  let fleet = ref (Fleet.create ~cloud ~trace ~shards:nshards config) in
+  let injections = Scenario.install_fleet scn fleet in
+  let rollouts = Rollout.install scn fleet in
+  Fleet.run !fleet ~until:duration;
+  let fleet = !fleet in
+  let m = Fleet.metrics fleet in
+  outf io
+    "Service %s: %d tenant(s), %d deployment(s), %d resource(s) under \
+     management after %.0f simulated seconds.\n"
+    config.Shard.sname scn.Scenario.tenants
+    (List.length (Fleet.deployments fleet))
+    (Fleet.managed_resource_count fleet)
+    (Cloud.now cloud);
+  let pct name p =
+    match Metrics.percentile m name p with Some v -> v | None -> 0.
+  in
+  outf io
+    "Requests: %d done (p50 %.1fs, p99 %.1fs); reconciles: %d; drift \
+     events: %d (%d injected); policy ticks: %d.\n"
+    (Metrics.counter m "requests_done")
+    (pct "request_latency" 50.) (pct "request_latency" 99.)
+    (Metrics.counter m "reconciles")
+    (Metrics.counter m "drift_events")
+    (List.length !injections)
+    (Metrics.counter m "policy_ticks");
+  let grants, waits = Fleet.lock_stats fleet in
+  outf io
+    "API calls: %d (%d reads, %d writes); locks: %d grant(s), %d wait(s).\n"
+    (Metrics.counter m "api_calls")
+    (Metrics.counter m "api_reads")
+    (Metrics.counter m "api_writes")
+    grants waits;
+  if scn.Scenario.episodes <> [] || scn.Scenario.breaker then begin
+    let g name =
+      match Metrics.gauge m name with Some v -> int_of_float v | None -> 0
     in
     outf io
-      "Requests: %d done (p50 %.1fs, p99 %.1fs); reconciles: %d; drift \
-       events: %d (%d injected); policy ticks: %d.\n"
-      (Metrics.counter m "requests_done")
-      (pct "request_latency" 50.) (pct "request_latency" 99.)
-      (Metrics.counter m "reconciles")
-      (Metrics.counter m "drift_events")
-      injections
-      (Metrics.counter m "policy_ticks");
-    outf io
-      "API calls: %d (%d reads, %d writes); locks: %d grant(s), %d wait(s).\n"
-      (Metrics.counter m "api_calls")
-      (Metrics.counter m "api_reads")
-      (Metrics.counter m "api_writes")
-      grants waits;
-    if scn.Scenario.episodes <> [] || scn.Scenario.breaker then begin
-      let g name =
-        match Metrics.gauge m name with Some v -> int_of_float v | None -> 0
-      in
+      "Chaos: %d episode(s), %d episode fault(s); breaker: %d opened, %d \
+       fast-fail(s), %d violation(s); parked: %d request(s), %d \
+       reconcile(s); scans shed: %d.\n"
+      (List.length scn.Scenario.episodes)
+      (Cloud.episode_fault_count cloud)
+      (Metrics.counter m "breaker_opened")
+      (g "breaker_fast_fails") (g "breaker_violations")
+      (Metrics.counter m "requests_parked")
+      (Metrics.counter m "reconciles_parked")
+      (Metrics.counter m "scans_shed")
+  end;
+  outf io
+    "Fleet: %d shard(s); cross-shard drift routed: %d; rebalance moves: %d; \
+     deferred: %d; rejected: %d; log polls: %d; state digest %s.\n"
+    (Fleet.shard_count fleet)
+    (Metrics.counter m "cross_shard_routed")
+    (Metrics.counter m "rebalance_moves")
+    (Metrics.counter m "requests_deferred")
+    (Metrics.counter m "requests_rejected")
+    (Metrics.counter m "log_polls")
+    (Fleet.state_digest fleet);
+  List.iter
+    (fun r ->
       outf io
-        "Chaos: %d episode(s), %d episode fault(s); breaker: %d opened, %d \
-         fast-fail(s), %d violation(s); parked: %d request(s), %d \
-         reconcile(s); scans shed: %d.\n"
-        (List.length scn.Scenario.episodes)
-        (Cloud.episode_fault_count cloud)
-        (Metrics.counter m "breaker_opened")
-        (g "breaker_fast_fails") (g "breaker_violations")
-        (Metrics.counter m "requests_parked")
-        (Metrics.counter m "reconciles_parked")
-        (Metrics.counter m "scans_shed")
-    end;
-    extra ();
-    (match orphans with
-    | [] -> ()
-    | os ->
-        outf io "WARNING: %d orphaned resource(s): %s\n" (List.length os)
-          (String.concat ", " os));
-    (match metrics_path with
-    | Some path ->
-        Metrics.write_json m ~path;
-        outf io "Metrics snapshot written to %s.\n" path
-    | None -> io.out (Metrics.to_json m));
-    0
-  in
-  match shards with
-  | None ->
-      let preset =
-        match engine with
-        | Cloudless -> Control_plane.cloudless_service
-        | Baseline -> Control_plane.baseline_service
-      in
-      let config = Scenario.service_config scn preset in
-      let cp = ref (Control_plane.create ~cloud ~trace config) in
-      if scn.Scenario.waves <> [] then
-        outf io
-          "NOTE: %d wave rollout(s) in the scenario ignored — bulk-change \
-           waves need the multi-shard fleet (--shards N).\n"
-          (List.length scn.Scenario.waves);
-      let injections = Scenario.install scn cp in
-      Control_plane.run !cp ~until:duration;
-      let cp = !cp in
-      let m = Control_plane.metrics cp in
-      let grants, waits =
-        Cloudless_lock.Lock_manager.stats (Control_plane.lock cp)
-      in
-      finish ~config ~m ~injections:(List.length !injections)
-        ~tenants:scn.Scenario.tenants
-        ~ndeps:(List.length (Control_plane.deployments cp))
-        ~managed:(Control_plane.managed_resource_count cp)
-        ~grants ~waits ~orphans:(Control_plane.orphans cp)
-        ~extra:(fun () -> ())
-  | Some n ->
-      let preset =
-        match engine with
-        | Cloudless -> Shard.fleet_service
-        | Baseline -> Shard.baseline_service
-      in
-      let config = Scenario.service_config scn preset in
-      let fleet = ref (Fleet.create ~cloud ~trace ~shards:n config) in
-      let injections = Scenario.install_fleet scn fleet in
-      let rollouts = Rollout.install scn fleet in
-      Fleet.run !fleet ~until:duration;
-      let fleet = !fleet in
-      let m = Fleet.metrics fleet in
-      let grants, waits =
-        List.fold_left
-          (fun (g, w) s ->
-            let g', w' =
-              Cloudless_lock.Lock_manager.stats (Shard.lock s)
-            in
-            (g + g', w + w'))
-          (0, 0) (Fleet.shards fleet)
-      in
-      finish ~config ~m ~injections:(List.length !injections)
-        ~tenants:scn.Scenario.tenants
-        ~ndeps:(List.length (Fleet.deployments fleet))
-        ~managed:(Fleet.managed_resource_count fleet)
-        ~grants ~waits ~orphans:(Fleet.orphans fleet)
-        ~extra:(fun () ->
-          outf io
-            "Fleet: %d shard(s); cross-shard drift routed: %d; rebalance \
-             moves: %d; deferred: %d; rejected: %d; log polls: %d; state \
-             digest %s.\n"
-            (Fleet.shard_count fleet)
-            (Metrics.counter m "cross_shard_routed")
-            (Metrics.counter m "rebalance_moves")
-            (Metrics.counter m "requests_deferred")
-            (Metrics.counter m "requests_rejected")
-            (Metrics.counter m "log_polls")
-            (Fleet.state_digest fleet);
-          List.iter
-            (fun r ->
-              outf io
-                "Rollout %s: %s; touched %d/%d tenant(s), committed %d; %d \
-                 request(s), %d rollback(s), %d gate check(s), %d mgmt \
-                 call(s).\n"
-                (Rollout.change r).Cloudless_wave.Change.cname
-                (match Rollout.outcome r with
-                | Some o -> Rollout.outcome_to_string o
-                | None -> "still running")
-                (List.length (Rollout.touched_tenants r))
-                scn.Scenario.tenants
-                (List.length (Rollout.committed_tenants r))
-                (Rollout.submitted r) (Rollout.rollbacks r)
-                (Rollout.gate_checks r) (Rollout.mgmt_calls r))
-            rollouts)
+        "Rollout %s: %s; touched %d/%d tenant(s), committed %d; %d \
+         request(s), %d rollback(s), %d gate check(s), %d mgmt call(s).\n"
+        (Rollout.change r).Cloudless_wave.Change.cname
+        (match Rollout.outcome r with
+        | Some o -> Rollout.outcome_to_string o
+        | None -> "still running")
+        (List.length (Rollout.touched_tenants r))
+        scn.Scenario.tenants
+        (List.length (Rollout.committed_tenants r))
+        (Rollout.submitted r) (Rollout.rollbacks r) (Rollout.gate_checks r)
+        (Rollout.mgmt_calls r))
+    rollouts;
+  (match Fleet.orphans fleet with
+  | [] -> ()
+  | os ->
+      outf io "WARNING: %d orphaned resource(s): %s\n" (List.length os)
+        (String.concat ", " os));
+  (match metrics_path with
+  | Some path ->
+      Metrics.write_json m ~path;
+      outf io "Metrics snapshot written to %s.\n" path
+  | None -> io.out (Metrics.to_json m));
+  0
 
 (* `cloudless rollout`: carry a bulk change (E18) across a scenario's
    tenant fleet in canary -> growing waves with a policy/health gate at

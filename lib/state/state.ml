@@ -222,6 +222,15 @@ let literal ?(span = Loc.dummy) body name =
             ?span:(Some (Option.value ~default:span (Ast.attr_span body name)))
             "state: %S is not literal" name)
 
+(* A literal field converted by [conv]; a value of the wrong type is
+   corrupt, reported at the attribute like a non-literal one. *)
+let typed ~span conv body name =
+  try conv (literal ~span body name)
+  with Value.Type_error msg ->
+    corrupt
+      ?span:(Some (Option.value ~default:span (Ast.attr_span body name)))
+      "state: %S: %s" name msg
+
 let decode_row span (body : Ast.body) addr_str =
   let addr =
     match Addr.of_string addr_str with
@@ -234,21 +243,23 @@ let decode_row span (body : Ast.body) addr_str =
     | _ -> corrupt ~span "state: attributes must be an object"
   in
   let deps =
-    match literal ~span body "depends" with
-    | Value.Vlist vs ->
-        List.map
-          (fun v ->
-            match Addr.of_string (Value.to_string v) with
-            | Some a -> a
-            | None -> corrupt ~span "state: bad dep address")
-          vs
-    | _ -> corrupt ~span "state: depends must be a list"
+    typed ~span
+      (function
+        | Value.Vlist vs ->
+            List.map
+              (fun v ->
+                match Addr.of_string (Value.to_string v) with
+                | Some a -> a
+                | None -> corrupt ~span "state: bad dep address")
+              vs
+        | _ -> corrupt ~span "state: depends must be a list")
+      body "depends"
   in
   {
     addr;
-    cloud_id = Value.to_string (literal ~span body "cloud_id");
-    rtype = Value.to_string (literal ~span body "type");
-    region = Value.to_string (literal ~span body "region");
+    cloud_id = typed ~span Value.to_string body "cloud_id";
+    rtype = typed ~span Value.to_string body "type";
+    region = typed ~span Value.to_string body "region";
     attrs;
     deps;
   }
@@ -302,7 +313,7 @@ let of_string ?(file = "<state>") src =
         let span = b.Ast.bspan in
         (match (b.Ast.btype, b.Ast.labels) with
         | "state", _ ->
-            serial := Value.to_int (literal ~span b.Ast.bbody "serial")
+            serial := typed ~span Value.to_int b.Ast.bbody "serial"
         | "instance", [ addr_str ] ->
             push span (decode_row span b.Ast.bbody addr_str)
         | "output", [ name ] ->

@@ -43,7 +43,7 @@ dune exec bench/main.exe -- e13 --quick
 # p99, flat tailer drift latency, crash-resume with zero orphans,
 # byte-deterministic metrics).  Budgeted: the whole sweep is simulated
 # time, so a wall-clock blowout means an event-loop regression.
-E14_BUDGET_S=60
+E14_BUDGET_S=10
 SECONDS=0
 dune exec bench/main.exe -- e14 --quick
 if (( SECONDS > E14_BUDGET_S )); then
@@ -58,7 +58,7 @@ fi
 # checks metrics byte-determinism at --shards {1,2,4}.  Budgeted: the
 # sweep is simulated time, so a wall-clock blowout means a fleet
 # drive-loop regression.
-E15_BUDGET_S=60
+E15_BUDGET_S=10
 SECONDS=0
 dune exec bench/main.exe -- e15 --quick
 if (( SECONDS > E15_BUDGET_S )); then
@@ -150,6 +150,19 @@ STATE_AST_BASELINE=0
 state_ast_count=$({ grep -oE 'Parser\.parse |config_to_string' lib/state/state.ml || true; } | wc -l)
 if (( state_ast_count > STATE_AST_BASELINE )); then
   echo "check.sh: ${state_ast_count} whole-file AST uses in lib/state/state.ml (baseline ${STATE_AST_BASELINE}) — stream the state file" >&2
+  exit 1
+fi
+
+# -- one control-plane path ------------------------------------------
+# The single-loop service is a one-shard Fleet driven through
+# Scenario.install_fleet.  A `Control_plane` module or a
+# `Scenario.install ` installer means a second control-plane engine is
+# back, with its own crash gate, policy timer and resume to keep in
+# step.
+CONTROL_PLANE_BASELINE=0
+control_plane_count=$({ grep -rnoE 'Control_plane|Scenario\.install ' lib/ bin/ bench/ test/ || true; } | wc -l)
+if (( control_plane_count > CONTROL_PLANE_BASELINE )); then
+  echo "check.sh: ${control_plane_count} Control_plane / Scenario.install uses in lib bin bench test (baseline ${CONTROL_PLANE_BASELINE}) — drive a one-shard Fleet instead" >&2
   exit 1
 fi
 

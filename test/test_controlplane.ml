@@ -1,15 +1,17 @@
-(* Control-plane service tests: end-to-end scenario smoke, the lock
-   admission properties the paper's multi-tenancy claim rests on
-   (disjoint tenants never wait, conflicting work serializes in queue
-   order), a golden drift-event -> scoped-reconcile trace, and crash
-   resume with zero orphans/duplicates. *)
+(* Control-plane service tests on the single-loop service (a one-shard
+   fleet): end-to-end scenario smoke, the lock admission properties the
+   paper's multi-tenancy claim rests on (disjoint tenants never wait,
+   conflicting work serializes in queue order), a golden drift-event ->
+   scoped-reconcile trace, and crash resume with zero
+   orphans/duplicates. *)
 
 module Cloud = Cloudless_sim.Cloud
 module Rate_limiter = Cloudless_sim.Rate_limiter
 module Failure = Cloudless_sim.Failure
 module State = Cloudless_state.State
-module Lock_manager = Cloudless_lock.Lock_manager
-module Control_plane = Cloudless_controlplane.Control_plane
+module Shard = Cloudless_controlplane.Shard
+module Fleet = Cloudless_controlplane.Fleet
+module Cli = Cloudless.Cli
 module Scenario = Cloudless_controlplane.Scenario
 module Trace = Cloudless_obs.Trace
 module Metrics = Cloudless_obs.Metrics
@@ -29,9 +31,15 @@ let fresh_cloud ?(seed = 42) () =
     ~read_limiter:(Rate_limiter.create ~capacity:1e6 ~refill_rate:1e5)
     ~seed ()
 
-let make_cp ?(trace = Trace.null) ?(config = Control_plane.cloudless_service)
-    ?seed () =
-  Control_plane.create ~cloud:(fresh_cloud ?seed ()) ~trace config
+let make_cp ?(trace = Trace.null) ?(config = Shard.cloudless_service) ?seed
+    () =
+  Fleet.create ~cloud:(fresh_cloud ?seed ()) ~trace ~shards:1 config
+
+(* Unbounded admission accepts every request. *)
+let submit cp dep ~src =
+  match Fleet.submit_request cp dep ~src with
+  | `Accepted rid -> rid
+  | `Deferred _ | `Rejected -> Alcotest.fail "unbounded admission refused"
 
 (* ------------------------------------------------------------------ *)
 (* Scenario smoke                                                      *)
@@ -52,38 +60,38 @@ let test_scenario_smoke () =
     }
   in
   let config =
-    Scenario.service_config scn Control_plane.cloudless_service
+    Scenario.service_config scn Shard.cloudless_service
   in
   let cp = ref (make_cp ~config ()) in
-  let injections = Scenario.install scn cp in
-  Control_plane.run !cp ~until:scn.Scenario.duration;
-  let m = Control_plane.metrics !cp in
+  let injections = Scenario.install_fleet scn cp in
+  Fleet.run !cp ~until:scn.Scenario.duration;
+  let m = Fleet.metrics !cp in
   check int_ "all requests completed" 6 (Metrics.counter m "requests_done");
   check int_ "resources under management" 24
-    (Control_plane.managed_resource_count !cp);
+    (Fleet.managed_resource_count !cp);
   check bool_ "all injections fired" true (List.length !injections = 4);
   check bool_ "every injection detected" true
     (List.for_all
        (fun (inj : Scenario.injection) ->
          List.mem_assoc inj.Scenario.icloud_id
-           (Control_plane.drift_detections !cp))
+           (Fleet.drift_detections !cp))
        !injections);
   check bool_ "reconciles ran" true (Metrics.counter m "reconciles" > 0);
   check bool_ "policy ticked" true (Metrics.counter m "policy_ticks" > 0);
   check bool_ "policy flagged drift" true
     (Metrics.counter m "policy_decisions" > 0);
-  check bool_ "no orphans" true (Control_plane.orphans !cp = []);
+  check bool_ "no orphans" true (Fleet.orphans !cp = []);
   (* convergence: a fresh request against the final config is a no-op *)
   List.iter
-    (fun (d : Control_plane.deployment) ->
+    (fun (d : Shard.deployment) ->
       let instances =
         List.filter
           (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
-          (State.resources d.Control_plane.state)
+          (State.resources d.Shard.state)
       in
       List.iter
         (fun (r : State.resource_state) ->
-          match Cloud.lookup (Control_plane.cloud !cp) r.State.cloud_id with
+          match Cloud.lookup (Fleet.cloud !cp) r.State.cloud_id with
           | Some live ->
               check bool_ "drift repaired" false
                 (live.Cloud.attrs
@@ -91,7 +99,7 @@ let test_scenario_smoke () =
                  = Some (Cloudless_hcl.Value.Vstring "t2.nano"))
           | None -> Alcotest.fail "managed instance missing from cloud")
         instances)
-    (Control_plane.deployments !cp)
+    (Fleet.deployments !cp)
 
 let test_metrics_deterministic () =
   let run () =
@@ -105,12 +113,12 @@ let test_metrics_deterministic () =
       }
     in
     let config =
-      Scenario.service_config scn Control_plane.cloudless_service
+      Scenario.service_config scn Shard.cloudless_service
     in
     let cp = ref (make_cp ~config ()) in
-    ignore (Scenario.install scn cp);
-    Control_plane.run !cp ~until:scn.Scenario.duration;
-    Metrics.to_json (Control_plane.metrics !cp)
+    ignore (Scenario.install_fleet scn cp);
+    Fleet.run !cp ~until:scn.Scenario.duration;
+    Metrics.to_json (Fleet.metrics !cp)
   in
   check string_ "byte-identical snapshots" (run ()) (run ())
 
@@ -128,23 +136,23 @@ let prop_disjoint_no_wait =
       let rids =
         List.init tenants (fun i ->
             let dep =
-              Control_plane.add_deployment cp
+              Fleet.add_deployment cp
                 ~tenant:(Printf.sprintf "t%d" i)
                 ~dname:"d0"
                 ~src:(Scenario.fleet_src
                         { Scenario.default with Scenario.resources }
                         ~wave:0)
             in
-            Control_plane.submit_request cp dep
+            submit cp dep
               ~src:(Scenario.fleet_src
                       { Scenario.default with Scenario.resources }
                       ~wave:0))
       in
-      Control_plane.run cp ~until:0.;
-      let _, waits = Lock_manager.stats (Control_plane.lock cp) in
+      Fleet.run cp ~until:0.;
+      let _, waits = Fleet.lock_stats cp in
       ignore rids;
       waits = 0
-      && Metrics.counter (Control_plane.metrics cp) "requests_done" = tenants)
+      && Metrics.counter (Fleet.metrics cp) "requests_done" = tenants)
 
 (* Conflicting work (same deployment) serializes in queue order: the
    completion order of n stacked requests is exactly submission order,
@@ -155,21 +163,23 @@ let prop_conflicting_fifo =
     (fun (n, resources) ->
       let cp = make_cp () in
       let dep =
-        Control_plane.add_deployment cp ~tenant:"t0" ~dname:"d0"
+        Fleet.add_deployment cp ~tenant:"t0" ~dname:"d0"
           ~src:(Scenario.fleet_src
                   { Scenario.default with Scenario.resources }
                   ~wave:0)
       in
       let rids =
         List.init n (fun w ->
-            Control_plane.submit_request cp dep
+            submit cp dep
               ~src:(Scenario.fleet_src
                       { Scenario.default with Scenario.resources }
                       ~wave:w))
       in
-      Control_plane.run cp ~until:0.;
-      let done_order = List.map fst (Control_plane.completed_requests cp) in
-      let _, waits = Lock_manager.stats (Control_plane.lock cp) in
+      Fleet.run cp ~until:0.;
+      let done_order =
+        List.map (fun (_, rid, _) -> rid) (Fleet.completed_requests cp)
+      in
+      let _, waits = Fleet.lock_stats cp in
       done_order = rids && waits = n - 1)
 
 (* ------------------------------------------------------------------ *)
@@ -184,21 +194,19 @@ let test_golden_drift_trace () =
   let sink, spans = Trace.memory_sink () in
   let cloud = fresh_cloud () in
   let trace = Trace.create ~sim_clock:(fun () -> Cloud.now cloud) sink in
-  let cp =
-    Control_plane.create ~cloud ~trace Control_plane.cloudless_service
-  in
+  let cp = Fleet.create ~cloud ~trace ~shards:1 Shard.cloudless_service in
   let scn = { Scenario.default with Scenario.resources = 12 } in
   let dep =
-    Control_plane.add_deployment cp ~tenant:"acme" ~dname:"prod"
+    Fleet.add_deployment cp ~tenant:"acme" ~dname:"prod"
       ~src:(Scenario.fleet_src scn ~wave:0)
   in
-  ignore (Control_plane.submit_request cp dep ~src:(Scenario.fleet_src scn ~wave:0));
+  ignore (submit cp dep ~src:(Scenario.fleet_src scn ~wave:0));
   (* drift one instance out-of-band after the apply settles *)
   Cloud.schedule cloud ~delay:300. (fun () ->
       let row =
         List.find
           (fun (r : State.resource_state) -> r.State.rtype = "aws_instance")
-          (State.resources dep.Control_plane.state)
+          (State.resources dep.Shard.state)
       in
       match
         Cloud.mutate_oob cloud ~script:"ops" ~cloud_id:row.State.cloud_id
@@ -207,7 +215,7 @@ let test_golden_drift_trace () =
       with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "oob mutation failed");
-  Control_plane.run cp ~until:400.;
+  Fleet.run cp ~until:400.;
   let golden =
     List.map
       (fun (s : Trace.span) ->
@@ -221,9 +229,9 @@ let test_golden_drift_trace () =
     Alcotest.(list string)
     "span sequence" [ "request scope=-"; "reconcile scope=3" ] golden;
   check int_ "exactly one detection" 1
-    (List.length (Control_plane.drift_detections cp));
+    (List.length (Fleet.drift_detections cp));
   check int_ "tailer produced one reconcile" 1
-    (Metrics.counter (Control_plane.metrics cp) "reconciles")
+    (Metrics.counter (Fleet.metrics cp) "reconciles")
 
 (* ------------------------------------------------------------------ *)
 (* Crash resume                                                        *)
@@ -243,26 +251,78 @@ let test_crash_resume () =
     }
   in
   let config =
-    Scenario.service_config scn Control_plane.cloudless_service
+    Scenario.service_config scn Shard.cloudless_service
   in
   let cp = ref (make_cp ~config ()) in
-  ignore (Scenario.install scn cp);
-  Control_plane.set_crash !cp (Failure.Crash_after 9);
-  (match Control_plane.run !cp ~until:scn.Scenario.duration with
+  ignore (Scenario.install_fleet scn cp);
+  Fleet.set_crash !cp (Failure.Crash_after 9);
+  (match Fleet.run !cp ~until:scn.Scenario.duration with
   | () -> Alcotest.fail "expected a crash"
   | exception Failure.Engine_crashed _ -> ());
-  let fresh, reports = Control_plane.resume !cp in
+  let fresh, reports = Fleet.resume !cp in
   cp := fresh;
   check int_ "one report per deployment" 3 (List.length reports);
-  Control_plane.run fresh ~until:scn.Scenario.duration;
-  check bool_ "no orphans after resume" true (Control_plane.orphans fresh = []);
+  Fleet.run fresh ~until:scn.Scenario.duration;
+  check bool_ "no orphans after resume" true (Fleet.orphans fresh = []);
   check int_ "exact fleet per tenant, no duplicates" 24
-    (Control_plane.managed_resource_count fresh);
+    (Fleet.managed_resource_count fresh);
   (* the successor's final convergence request is a no-op plan *)
   List.iter
-    (fun (d : Control_plane.deployment) ->
-      check int_ "deployment fully populated" 8 (State.size d.Control_plane.state))
-    (Control_plane.deployments fresh)
+    (fun (d : Shard.deployment) ->
+      check int_ "deployment fully populated" 8 (State.size d.Shard.state))
+    (Fleet.deployments fresh)
+
+(* ------------------------------------------------------------------ *)
+(* `cloudless serve`                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let serve_scenario =
+  "tenants = 2\n\
+   shards = 3\n\
+   resources = 6\n\
+   requests_per_tenant = 2\n\
+   request_interval = 100\n\
+   drift_events = 2\n\
+   drift_period = 30\n\
+   policy_period = 0\n\
+   duration = 900\n"
+
+(* Run [Cli.serve] on a scenario file; returns the exit code and
+   everything written to stdout. *)
+let serve ?shards src =
+  let path = Filename.temp_file "cloudless_serve" ".scn" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+  let out = Buffer.create 4096 in
+  let io = { Cli.out = Buffer.add_string out; err = (fun _ -> ()) } in
+  let code = Cli.serve ~io ?shards ~scenario_path:path () in
+  Sys.remove path;
+  (code, Buffer.contents out)
+
+let contains = Test_fixtures.contains_substring
+
+let test_serve_runs_the_fleet () =
+  let code, out = serve serve_scenario in
+  check int_ "exit code" 0 code;
+  check bool_ "every request done" true
+    (contains ~sub:"Requests: 4 done" out);
+  check bool_ "fleet preset" true (contains ~sub:"Service fleet:" out);
+  check bool_ "scenario shard count applies" true
+    (contains ~sub:"Fleet: 3 shard(s)" out)
+
+let test_serve_default_shards () =
+  check
+    Alcotest.(pair int string)
+    "default = --shards <scenario shards>" (serve serve_scenario)
+    (serve ~shards:3 serve_scenario)
+
+let test_serve_runs_waves () =
+  let code, out =
+    serve
+      (serve_scenario
+     ^ "wave = start=300 attr=instance_type value=t3.micro check=30\n")
+  in
+  check int_ "exit code" 0 code;
+  check bool_ "rollout reported" true (contains ~sub:"Rollout " out)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -278,4 +338,13 @@ let suites =
           test_crash_resume;
       ] );
     ("controlplane.admission", [ qtest prop_disjoint_no_wait; qtest prop_conflicting_fifo ]);
+    ( "controlplane.serve",
+      [
+        Alcotest.test_case "runs the scenario on the fleet" `Quick
+          test_serve_runs_the_fleet;
+        Alcotest.test_case "default shards = the scenario's" `Quick
+          test_serve_default_shards;
+        Alcotest.test_case "wave lines run without --shards" `Quick
+          test_serve_runs_waves;
+      ] );
   ]

@@ -205,8 +205,8 @@ module Reference = struct
 end
 
 let instance_block ?(addr = "aws_vpc.a") ?(cloud_id = {|"vpc-1"|})
-    ?(rtype = {|"aws_vpc"|}) ?(attributes = "{ cidr_block = \"10.0.0.0/16\" }")
-    ?(depends = "[]") () =
+    ?(rtype = {|"aws_vpc"|}) ?(region = {|"us-east-1"|})
+    ?(attributes = "{ cidr_block = \"10.0.0.0/16\" }") ?(depends = "[]") () =
   String.concat ""
     [
       Printf.sprintf "instance %S {\n" addr;
@@ -214,14 +214,14 @@ let instance_block ?(addr = "aws_vpc.a") ?(cloud_id = {|"vpc-1"|})
       | "" -> ""
       | v -> Printf.sprintf "  cloud_id   = %s\n" v);
       Printf.sprintf "  type       = %s\n" rtype;
-      "  region     = \"us-east-1\"\n";
+      Printf.sprintf "  region     = %s\n" region;
       Printf.sprintf "  attributes = %s\n" attributes;
       Printf.sprintf "  depends    = %s\n" depends;
       "}\n";
     ]
 
-let state_file blocks =
-  String.concat "\n" ("state {\n  serial = 3\n}\n" :: blocks)
+let state_file ?(serial = "3") blocks =
+  String.concat "\n" (Printf.sprintf "state {\n  serial = %s\n}\n" serial :: blocks)
 
 (* [of_string src] fails with a located corrupt-state error whose span
    starts on [line] and lies inside the block that starts on
@@ -276,9 +276,24 @@ let test_corrupt_state_table () =
       ( "non-literal type",
         instance_block ~addr:"aws_vpc.b" ~rtype:"var.x" (),
         second_block + 2 );
+      (* mistyped literals are reported at their attribute *)
+      ( "cloud_id a list",
+        instance_block ~addr:"aws_vpc.b" ~cloud_id:"[1]" (),
+        second_block + 1 );
+      ( "type a list",
+        instance_block ~addr:"aws_vpc.b" ~rtype:{|["aws_vpc"]|} (),
+        second_block + 2 );
+      ( "region a list",
+        instance_block ~addr:"aws_vpc.b" ~region:{|["us-east-1"]|} (),
+        second_block + 3 );
+      ( "dependency a list",
+        instance_block ~addr:"aws_vpc.b" ~depends:"[[1]]" (),
+        second_block + 5 );
       ("unexpected block type", "resource \"aws_vpc\" \"b\" {\n}\n", second_block);
       ("duplicate address", instance_block (), second_block);
     ];
+  expect_corrupt ~name:"serial not an integer" ~line:2 ~block_line:1
+    (state_file ~serial:{|"x"|} [ instance_block () ]);
   (* rows out of address order are checked against every address seen *)
   expect_corrupt ~name:"duplicate address out of order" ~line:21 ~block_line:21
     (state_file

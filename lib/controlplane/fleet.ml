@@ -251,17 +251,15 @@ let unsubscribe_shards t =
 let rebalance_tick t =
   let n = Array.length t.shards in
   if n > 1 then begin
+    let depths = Array.map Shard.queue_depth t.shards in
     let deepest = ref 0 and shallowest = ref 0 in
     Array.iteri
-      (fun i s ->
-        let d = Shard.queue_depth s in
-        if d > Shard.queue_depth t.shards.(!deepest) then deepest := i;
-        if d < Shard.queue_depth t.shards.(!shallowest) then shallowest := i;
-        ignore s;
-        ignore d)
-      t.shards;
+      (fun i d ->
+        if d > depths.(!deepest) then deepest := i;
+        if d < depths.(!shallowest) then shallowest := i)
+      depths;
     let src = t.shards.(!deepest) and dst = t.shards.(!shallowest) in
-    let gap = Shard.queue_depth src - Shard.queue_depth dst in
+    let gap = depths.(!deepest) - depths.(!shallowest) in
     Metrics.set t.registry "rebalance_gap" (float_of_int gap);
     if gap >= rebalance_threshold then begin
       let movable =

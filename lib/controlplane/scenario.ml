@@ -294,7 +294,8 @@ let wave_of_spec ~file ~line spec =
     wcheck = !check;
     wchange =
       {
-        Change.cname = Printf.sprintf "wave@%s:%d" file line;
+        Change.cname =
+          Printf.sprintf "wave@%s:%d" (Filename.basename file) line;
         actions = [ action ];
         canary = !canary;
         growth = !growth;
@@ -520,15 +521,17 @@ let install_fleet scn fleet_ref =
   let cloud = Fleet.cloud fleet in
   let injections = ref [] in
   let deps = ref [] in
+  (* one source text per wave, shared by every deployment and request *)
+  let srcs =
+    Array.init (max 1 scn.requests_per_tenant) (fun wave -> fleet_src scn ~wave)
+  in
   for ti = 0 to scn.tenants - 1 do
     let tenant = Printf.sprintf "tenant%d" ti in
     let hot = ti < scn.hot_tenants in
     let calm = ti >= scn.tenants - scn.calm_tenants in
     for di = 0 to scn.deployments_per_tenant - 1 do
       let dname = Printf.sprintf "d%d" di in
-      ignore
-        (Fleet.add_deployment fleet ~tenant ~dname
-           ~src:(fleet_src scn ~wave:0));
+      ignore (Fleet.add_deployment fleet ~tenant ~dname ~src:srcs.(0));
       deps := (tenant, dname) :: !deps;
       for w = 0 to scn.requests_per_tenant - 1 do
         let wave = if calm then 0 else w in
@@ -541,8 +544,7 @@ let install_fleet scn fleet_ref =
               match Fleet.find_deployment fleet ~tenant ~dname with
               | Some dep ->
                   ignore
-                    (Fleet.submit_request fleet dep
-                       ~src:(fleet_src scn ~wave)
+                    (Fleet.submit_request fleet dep ~src:srcs.(wave)
                       : [ `Accepted of int | `Deferred of int | `Rejected ])
               | None -> ())
         done

@@ -140,6 +140,12 @@ type deployment = {
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
   tailer : Drift.Log_tailer.t;
+  api_calls_metric : string;
+  latency_metric : string;
+  parked_metric : string;
+      (** the tenant's metric names (["api_calls.<tenant>"],
+          ["request_latency.<tenant>"], ["requests_parked.<tenant>"]),
+          built once per deployment *)
 }
 
 type work =
@@ -284,6 +290,9 @@ let make_deployment ~tenant ~dname ~src =
     persisted = State.empty;
     journal = Journal.create ();
     tailer = Drift.Log_tailer.create ();
+    api_calls_metric = "api_calls." ^ tenant;
+    latency_metric = "request_latency." ^ tenant;
+    parked_metric = "requests_parked." ^ tenant;
   }
 
 let add_deployment t ~tenant ~dname ~src =
@@ -322,8 +331,30 @@ let data_resolver ~rtype ~name:_ ~args:_ =
   | "aws_region" -> Some (Smap.singleton "name" (Value.Vstring "us-east-1"))
   | _ -> None
 
+(* Compiled revisions: source text -> parsed and prepared config.  A
+   fleet serves few distinct revisions to many tenants, so parsing and
+   ordering run once per revision, not once per request or reconcile;
+   only evaluation against the deployment's state runs per call.  The
+   table holds at most [revision_capacity] entries, evicting the oldest
+   first.  A source that fails to parse is not entered, so every work
+   unit carrying it raises (and counts) its own error. *)
+let revision_capacity = 64
+let revisions : (string, Hcl.Eval.prepared) Hashtbl.t = Hashtbl.create 16
+let revision_order : string Queue.t = Queue.create ()
+let compiled_revisions () = Hashtbl.length revisions
+
+let compile src =
+  match Hashtbl.find_opt revisions src with
+  | Some p -> p
+  | None ->
+      let p = Hcl.Eval.prepare (Hcl.Config.parse ~file:"<service>" src) in
+      if Hashtbl.length revisions >= revision_capacity then
+        Hashtbl.remove revisions (Queue.pop revision_order);
+      Hashtbl.replace revisions src p;
+      Queue.push src revision_order;
+      p
+
 let expand ~state src =
-  let cfg = Hcl.Config.parse ~file:"<service>" src in
   let env =
     {
       Hcl.Eval.default_env with
@@ -331,7 +362,7 @@ let expand ~state src =
       state_lookup = (fun addr -> State.lookup state addr);
     }
   in
-  (Hcl.Eval.expand ~env cfg).Hcl.Eval.instances
+  (Hcl.Eval.expand_prepared ~env (compile src)).Hcl.Eval.instances
 
 let applier_config t dep =
   {
@@ -346,7 +377,7 @@ let applier_config t dep =
 
 let count_api t dep ~read n =
   Metrics.scope_inc t.scope ~by:n "api_calls";
-  Metrics.inc (metrics t) ~by:n ("api_calls." ^ dep.tenant);
+  Metrics.inc (metrics t) ~by:n dep.api_calls_metric;
   if read then Metrics.scope_inc t.scope ~by:n "api_reads"
   else Metrics.scope_inc t.scope ~by:n "api_writes"
 
@@ -362,7 +393,7 @@ let work_class = function
          deprioritizing it would leave the bad revision live longer *)
   | Reconcile _ | Scan_sweep _ -> 1.
 
-let owner_of dep ~wid = Printf.sprintf "%s#%d" dep.engine wid
+let owner_of dep ~wid = dep.engine ^ "#" ^ string_of_int wid
 
 (** Queued plus lock-blocked work — the admission signal the
     backpressure bound and the fleet rebalancer both read. *)
@@ -384,21 +415,22 @@ let rec drain t =
    the work; conflicting work queues FIFO inside the manager, which is
    exactly the serialization order the QCheck property pins down. *)
 and admit t wid work =
+  (* the unit's lock owner is built once here and threaded through to
+     its release *)
+  let acquire dep run =
+    let owner = owner_of dep ~wid in
+    Lock_manager.acquire t.lock ~owner ~keys:[ dep.root_key ] (fun () ->
+        if t.host.alive () then run owner)
+  in
   match work with
   | Request { dep; rid; src; submitted } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then exec_request t dep ~wid ~rid ~src ~submitted)
+      acquire dep (fun owner -> exec_request t dep ~owner ~rid ~src ~submitted)
   | Reconcile { dep; seeds; detected } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then exec_reconcile t dep ~wid ~seeds ~detected)
+      acquire dep (fun owner -> exec_reconcile t dep ~owner ~seeds ~detected)
   | Rollback_op { dep; label; plan_of; restore_src; submitted; notify } ->
-      Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-        ~keys:[ dep.root_key ] (fun () ->
-          if t.host.alive () then
-            exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted
-              ~notify)
+      acquire dep (fun owner ->
+          exec_rollback t dep ~owner ~label ~plan_of ~restore_src ~submitted
+            ~notify)
   | Scan_sweep { dep; swept } -> (
       match t.breaker with
       | Some b when Breaker.any_open b ->
@@ -407,10 +439,7 @@ and admit t wid work =
              the next armed sweep runs once the breaker closes *)
           Metrics.scope_inc t.scope "scans_shed";
           pending_decr t dep.tenant
-      | _ ->
-          Lock_manager.acquire t.lock ~owner:(owner_of dep ~wid)
-            ~keys:[ dep.root_key ] (fun () ->
-              if t.host.alive () then exec_scan t dep ~wid ~swept))
+      | _ -> acquire dep (fun owner -> exec_scan t dep ~owner ~swept))
 
 and enqueue t work =
   let wid = t.next_work in
@@ -427,10 +456,10 @@ and enqueue t work =
 (* Complete a unit of work: persist the deployment's state (end-of-work
    persistence — the crash window the journal covers), release the
    locks, and emit the span. *)
-and finish_work t dep ~wid ~span ~sim_start ~meta ~counters =
+and finish_work t dep ~owner ~span ~sim_start ~meta ~counters =
   dep.persisted <- dep.state;
   pending_decr t dep.tenant;
-  Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
+  Lock_manager.release t.lock ~owner;
   Trace.emit_span t.trace ~meta ~counters ~sim_start span;
   drain t
 
@@ -443,9 +472,9 @@ and finish_work t dep ~wid ~span ~sim_start ~meta ~counters =
    whole episode).  [rebuild] re-creates the work at re-admission
    time — a request re-reads [dep.config_src] there, so a parked
    request converges to the latest revision, never a stale one. *)
-and park_work t dep ~wid ~rebuild =
+and park_work t dep ~owner ~rebuild =
   dep.persisted <- dep.state;
-  Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
+  Lock_manager.release t.lock ~owner;
   t.parked <- t.parked + 1;
   Metrics.scope_set t.scope "parked_work" (float_of_int t.parked);
   let now = Cloud.now t.cloud in
@@ -482,7 +511,7 @@ and breaker_blocked t (o : Applier.outcome) =
 
 (* Catch per-work configuration/planning errors without killing the
    service; a crash injection must still propagate. *)
-and protected t dep ~wid (f : unit -> unit) =
+and protected t dep ~owner (f : unit -> unit) =
   try f () with
   | Failure.Engine_crashed _ as e -> raise e
   | e ->
@@ -490,13 +519,13 @@ and protected t dep ~wid (f : unit -> unit) =
       Trace.meta t.trace "work_error" (Printexc.to_string e);
       dep.state <- dep.persisted;
       pending_decr t dep.tenant;
-      Lock_manager.release t.lock ~owner:(owner_of dep ~wid);
+      Lock_manager.release t.lock ~owner;
       drain t
 
 (* --- tenant apply request ------------------------------------------ *)
 
-and exec_request t dep ~wid ~rid ~src ~submitted =
-  protected t dep ~wid @@ fun () ->
+and exec_request t dep ~owner ~rid ~src ~submitted =
+  protected t dep ~owner @@ fun () ->
   let granted = Cloud.now t.cloud in
   Metrics.scope_observe t.scope "request_queue_wait" (granted -. submitted);
   dep.config_src <- src;
@@ -511,21 +540,19 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
         dep.state <- o.Applier.astate;
         if breaker_blocked t o then begin
           Metrics.scope_inc t.scope "requests_parked";
-          Metrics.inc (metrics t) ("requests_parked." ^ dep.tenant);
-          park_work t dep ~wid ~rebuild:(fun () ->
+          Metrics.inc (metrics t) dep.parked_metric;
+          park_work t dep ~owner ~rebuild:(fun () ->
               Request { dep; rid; src = dep.config_src; submitted })
         end
         else begin
         let now = Cloud.now t.cloud in
         Metrics.scope_inc t.scope "requests_done";
         Metrics.scope_observe t.scope "request_latency" (now -. submitted);
-        Metrics.observe (metrics t)
-          ("request_latency." ^ dep.tenant)
-          (now -. submitted);
+        Metrics.observe (metrics t) dep.latency_metric (now -. submitted);
         if o.Applier.failed <> [] then
           Metrics.scope_inc t.scope "work_failures";
         t.completed <- (rid, now) :: t.completed;
-        finish_work t dep ~wid ~span:"request" ~sim_start:submitted
+        finish_work t dep ~owner ~span:"request" ~sim_start:submitted
           ~meta:
             [
               ("tenant", dep.tenant);
@@ -547,7 +574,7 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
       ~alive:t.host.alive
       ~count_api:(count_api t dep ~read:true)
       ~on_done:(fun (r : Applier.refresh_outcome) ->
-        protected t dep ~wid @@ fun () ->
+        protected t dep ~owner @@ fun () ->
         (* rows the refresh proved gone are dropped so the re-plan
            recreates them *)
         let state0 =
@@ -567,8 +594,8 @@ and exec_request t dep ~wid ~rid ~src ~submitted =
    two leaves the restored src with an incomplete rollback, which the
    ordinary journal-replay resume then converges — the same idempotent
    window every request has. *)
-and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
-  protected t dep ~wid @@ fun () ->
+and exec_rollback t dep ~owner ~label ~plan_of ~restore_src ~submitted ~notify =
+  protected t dep ~owner @@ fun () ->
   (match restore_src with Some src -> dep.config_src <- src | None -> ());
   let plan = plan_of () in
   Applier.apply t.cloud ~config:(applier_config t dep) ~state:dep.state ~plan
@@ -579,7 +606,7 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
       dep.state <- o.Applier.astate;
       if breaker_blocked t o then begin
         Metrics.scope_inc t.scope "rollbacks_parked";
-        park_work t dep ~wid ~rebuild:(fun () ->
+        park_work t dep ~owner ~rebuild:(fun () ->
             Rollback_op { dep; label; plan_of; restore_src; submitted; notify })
       end
       else begin
@@ -589,7 +616,7 @@ and exec_rollback t dep ~wid ~label ~plan_of ~restore_src ~submitted ~notify =
         if o.Applier.failed <> [] then
           Metrics.scope_inc t.scope "work_failures";
         notify now;
-        finish_work t dep ~wid ~span:"rollback" ~sim_start:submitted
+        finish_work t dep ~owner ~span:"rollback" ~sim_start:submitted
           ~meta:
             [
               ("tenant", dep.tenant);
@@ -640,8 +667,8 @@ and poll_tailer t dep =
 
 (* --- drift: scoped reconcile apply --------------------------------- *)
 
-and exec_reconcile t dep ~wid ~seeds ~detected =
-  protected t dep ~wid @@ fun () ->
+and exec_reconcile t dep ~owner ~seeds ~detected =
+  protected t dep ~owner @@ fun () ->
   let instances = expand ~state:dep.state dep.config_src in
   let scope =
     if t.config.scoped_reconcile then
@@ -652,14 +679,14 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
     dep.state <- o.Applier.astate;
     if breaker_blocked t o then begin
       Metrics.scope_inc t.scope "reconciles_parked";
-      park_work t dep ~wid ~rebuild:(fun () ->
+      park_work t dep ~owner ~rebuild:(fun () ->
           Reconcile { dep; seeds; detected })
     end
     else begin
     Metrics.scope_inc t.scope "reconciles";
     Metrics.scope_observe t.scope "reconcile_latency"
       (Cloud.now t.cloud -. detected);
-    finish_work t dep ~wid ~span:"reconcile" ~sim_start:detected
+    finish_work t dep ~owner ~span:"reconcile" ~sim_start:detected
       ~meta:
         [
           ("tenant", dep.tenant);
@@ -682,7 +709,7 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
     ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:true)
     ~on_done:(fun (r : Applier.refresh_outcome) ->
-      protected t dep ~wid @@ fun () ->
+      protected t dep ~owner @@ fun () ->
       let state0 =
         List.fold_left State.remove r.Applier.rstate r.Applier.missing
       in
@@ -702,15 +729,15 @@ and exec_reconcile t dep ~wid ~seeds ~detected =
 
 (* --- drift: scan sweep (baseline) ---------------------------------- *)
 
-and exec_scan t dep ~wid ~swept =
-  protected t dep ~wid @@ fun () ->
+and exec_scan t dep ~owner ~swept =
+  protected t dep ~owner @@ fun () ->
   Applier.scan t.cloud ~engine:dep.engine ~state:dep.state ~alive:t.host.alive
     ~count_api:(count_api t dep ~read:true)
     ~on_done:(fun (events, reads) ->
-      protected t dep ~wid @@ fun () ->
+      protected t dep ~owner @@ fun () ->
       Metrics.scope_inc t.scope ~by:reads "scan_reads";
       if events = [] then
-        finish_work t dep ~wid ~span:"scan" ~sim_start:swept
+        finish_work t dep ~owner ~span:"scan" ~sim_start:swept
           ~meta:[ ("tenant", dep.tenant); ("deployment", dep.dname) ]
           ~counters:[ ("scan_reads", reads); ("drift", 0) ]
       else begin
@@ -753,7 +780,7 @@ and exec_scan t dep ~wid ~swept =
             Metrics.scope_inc t.scope "reconciles";
             Metrics.scope_observe t.scope "reconcile_latency"
               (Cloud.now t.cloud -. detected);
-            finish_work t dep ~wid ~span:"scan" ~sim_start:swept
+            finish_work t dep ~owner ~span:"scan" ~sim_start:swept
               ~meta:[ ("tenant", dep.tenant); ("deployment", dep.dname) ]
               ~counters:
                 [

@@ -73,6 +73,12 @@ type deployment = {
           over this *)
   journal : Journal.t;  (** one write-ahead journal across all applies *)
   tailer : Drift.Log_tailer.t;
+  api_calls_metric : string;
+  latency_metric : string;
+  parked_metric : string;
+      (** the tenant's metric names (["api_calls.<tenant>"],
+          ["request_latency.<tenant>"], ["requests_parked.<tenant>"]),
+          built once per deployment *)
 }
 
 (** Host callbacks: the seam between a shard and whoever runs it. *)
@@ -141,9 +147,19 @@ val queue_depth : t -> int
 val managed_resource_count : t -> int
 
 (** Expand a configuration source against a state (shared by requests,
-    reconciles, and post-hoc convergence audits). *)
+    reconciles, and post-hoc convergence audits).  Each distinct source
+    is parsed and prepared once and kept in a process-wide table of
+    {!revision_capacity} compiled revisions (oldest evicted first);
+    evaluation against [state] runs on every call.  A source that fails
+    to parse raises on every call and is never kept. *)
 val expand :
   state:State.t -> string -> Cloudless_hcl.Eval.instance list
+
+(** Capacity of the compiled-revision table. *)
+val revision_capacity : int
+
+(** Compiled revisions currently in the table. *)
+val compiled_revisions : unit -> int
 
 (** Submit an apply request at the current simulated time.  Always
     [`Accepted rid] when [max_queue_depth = 0]; over the bound,

@@ -640,10 +640,7 @@ let node_span = function
 (* Static targets of a node, with local references expanded
    transitively so that ordering respects locals that mention
    resources. *)
-let node_targets ?locals (cfg : Config.t) node : Refs.target list =
-  let locals =
-    match locals with Some t -> t | None -> locals_index cfg.Config.locals
-  in
+let node_targets ~locals node : Refs.target list =
   let direct =
     match node with
     | Ndata d -> Refs.of_body d.Config.dbody
@@ -684,8 +681,10 @@ let target_node_key = function
   | Refs.Tmodule (m, _) -> Some ("module." ^ m)
   | Refs.Tvar _ | Refs.Tlocal _ | Refs.Tcount | Refs.Teach | Refs.Tpath -> None
 
-(* Stable topological sort of nodes; raises on cycles. *)
-let order_nodes (cfg : Config.t) : node list =
+(* Stable topological sort of nodes, each paired with its static
+   targets (computed once, on the node's first visit, for ordering and
+   for the resource's [ref_deps] alike); raises on cycles. *)
+let order_nodes (cfg : Config.t) : (node * Refs.target list) list =
   let nodes =
     List.map (fun d -> Ndata d) cfg.Config.data_sources
     @ List.map (fun r -> Nres r) cfg.Config.resources
@@ -694,11 +693,6 @@ let order_nodes (cfg : Config.t) : node list =
   let by_key = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace by_key (node_key n) n) nodes;
   let locals = locals_index cfg.Config.locals in
-  let deps n =
-    node_targets ~locals cfg n
-    |> List.filter_map target_node_key
-    |> List.filter_map (Hashtbl.find_opt by_key)
-  in
   let visited = Hashtbl.create 16 in
   let out = ref [] in
   let rec visit path n =
@@ -709,12 +703,33 @@ let order_nodes (cfg : Config.t) : node list =
         errf (node_span n) "dependency cycle involving %s" key
     | None ->
         Hashtbl.replace visited key `In_progress;
-        List.iter (visit (key :: path)) (deps n);
+        let targets = node_targets ~locals n in
+        List.iter (visit (key :: path))
+          (targets
+          |> List.filter_map target_node_key
+          |> List.filter_map (Hashtbl.find_opt by_key));
         Hashtbl.replace visited key `Done;
-        out := n :: !out
+        out := (n, targets) :: !out
   in
   List.iter (visit []) nodes;
   List.rev !out
+
+(** The configuration-only half of expansion: node order and each
+    node's static targets.  It depends on neither variable values nor
+    prior state, so one [prepared] serves every expansion of the same
+    configuration.  A dependency cycle is kept, not raised: expansion
+    reports it after evaluating variable defaults, as it always has. *)
+type prepared = {
+  cfg : Config.t;
+  order : ((node * Refs.target list) list, string * Loc.span) result;
+}
+
+let prepare (cfg : Config.t) : prepared =
+  {
+    cfg;
+    order =
+      (try Ok (order_nodes cfg) with Eval_error (msg, span) -> Error (msg, span));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Expansion                                                           *)
@@ -750,8 +765,9 @@ let target_instance_addrs scope (cfg : Config.t) target : Addr.t list =
   | Refs.Tpath ->
       []
 
-let rec expand_config (env : env) ~module_path ~vars (cfg : Config.t) :
+let rec expand_config (env : env) ~module_path ~vars (p : prepared) :
     expansion_result * scope =
+  let cfg = p.cfg in
   (* Fill in variable defaults; unknown variables are an error, missing
      required variables too. *)
   let var_scope = make_scope ~env ~module_path () in
@@ -771,13 +787,17 @@ let rec expand_config (env : env) ~module_path ~vars (cfg : Config.t) :
   let scope = make_scope ~env ~module_path ~locals:cfg.Config.locals ~vars () in
   let acc_instances = ref [] in
   let emit inst = acc_instances := inst :: !acc_instances in
-  let nodes = order_nodes cfg in
+  let nodes =
+    match p.order with
+    | Ok nodes -> nodes
+    | Error (msg, span) -> raise (Eval_error (msg, span))
+  in
   List.iter
-    (fun node ->
+    (fun (node, targets) ->
       match node with
       | Ndata d -> expand_data scope d
       | Nres r ->
-          let expansion, instances = expand_resource scope cfg r in
+          let expansion, instances = expand_resource scope cfg r ~targets in
           Hashtbl.replace scope.resources (r.Config.rtype, r.Config.rname)
             expansion;
           List.iter emit instances
@@ -806,14 +826,13 @@ and expand_data scope (d : Config.data_source) =
       errf d.Config.dspan "data source type %S is not available"
         d.Config.dtype
 
-and expand_resource scope cfg (r : Config.resource) :
+and expand_resource scope cfg (r : Config.resource) ~targets :
     node_expansion * instance list =
   let provider =
     match r.Config.rprovider with
     | Some p -> p
     | None -> provider_of_rtype r.Config.rtype
   in
-  let targets = node_targets ~locals:scope.locals_tbl cfg (Nres r) in
   let ref_deps =
     List.concat_map (target_instance_addrs scope cfg) targets
   in
@@ -905,6 +924,7 @@ and expand_module scope env (m : Config.module_call) :
         errf m.Config.mspan "module source %S not found in registry"
           m.Config.msource
   in
+  let child = prepare child_cfg in
   let expand_one path_elem count_index each_binding =
     let inst_scope = { scope with count_index; each_binding } in
     let vars =
@@ -915,7 +935,7 @@ and expand_module scope env (m : Config.module_call) :
     let result, _child_scope =
       expand_config env
         ~module_path:(scope.module_path @ [ path_elem ])
-        ~vars child_cfg
+        ~vars child
     in
     let outputs =
       List.fold_left
@@ -977,18 +997,24 @@ and expand_module scope env (m : Config.module_call) :
       let outputs, instances = expand_one m.Config.mname None None in
       (Mod_single outputs, instances)
 
-(** Expand a configuration to its resource instances and output values.
-    With a live [trace], expansion runs in an ["expand"] span counting
-    the instances and outputs it produced. *)
-let expand ?(env = default_env) ?(vars = Smap.empty)
-    ?(trace = Cloudless_obs.Trace.null) (cfg : Config.t) : expansion_result =
+(** Expand a prepared configuration to its resource instances and
+    output values: variables, locals and resource bodies are evaluated
+    against [env] (prior state included) on every call.  With a live
+    [trace], expansion runs in an ["expand"] span counting the
+    instances and outputs it produced. *)
+let expand_prepared ?(env = default_env) ?(vars = Smap.empty)
+    ?(trace = Cloudless_obs.Trace.null) (p : prepared) : expansion_result =
   let module Trace = Cloudless_obs.Trace in
   Trace.with_span trace "expand" (fun () ->
       let env = { env with var_values = vars } in
-      let result = fst (expand_config env ~module_path:[] ~vars cfg) in
+      let result = fst (expand_config env ~module_path:[] ~vars p) in
       Trace.count trace "instances" (List.length result.instances);
       Trace.count trace "outputs" (List.length result.outputs);
       result)
+
+(** Expand a configuration: {!prepare} then {!expand_prepared}. *)
+let expand ?env ?vars ?trace (cfg : Config.t) : expansion_result =
+  expand_prepared ?env ?vars ?trace (prepare cfg)
 
 (** Evaluate a standalone expression with optional variable bindings —
     convenience for tests and tools. *)

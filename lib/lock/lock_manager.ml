@@ -26,13 +26,23 @@ type request = {
 type t = {
   granularity : granularity;
   held : (Addr.t, string) Hashtbl.t;  (** key -> owner *)
+  owned : (string, Addr.t list) Hashtbl.t;
+      (** owner -> the keys it holds: [held] inverted, so a release
+          touches only its owner's keys *)
   mutable queue : request list;  (** FIFO waiters *)
   mutable grants : int;
   mutable waits : int;  (** requests that had to queue *)
 }
 
 let create granularity =
-  { granularity; held = Hashtbl.create 32; queue = []; grants = 0; waits = 0 }
+  {
+    granularity;
+    held = Hashtbl.create 32;
+    owned = Hashtbl.create 32;
+    queue = [];
+    grants = 0;
+    waits = 0;
+  }
 
 let effective_keys t keys =
   match t.granularity with
@@ -47,7 +57,15 @@ let available t keys owner =
       | Some o -> o = owner)
     keys
 
-let take t keys owner = List.iter (fun k -> Hashtbl.replace t.held k owner) keys
+(* [keys] are free or already [owner]'s (see [available]); only the
+   free ones are new to the owner's index, so a re-entrant acquire
+   lists no key twice. *)
+let take t keys owner =
+  let fresh = List.filter (fun k -> not (Hashtbl.mem t.held k)) keys in
+  List.iter (fun k -> Hashtbl.replace t.held k owner) fresh;
+  if fresh <> [] then
+    let prior = Option.value (Hashtbl.find_opt t.owned owner) ~default:[] in
+    Hashtbl.replace t.owned owner (List.rev_append fresh prior)
 
 (* Serve queued requests in order; a blocked head does not block
    non-conflicting requests behind it (no head-of-line blocking across
@@ -87,12 +105,11 @@ let acquire t ~owner ~keys grant =
 
 (** Release every key held by [owner] and wake eligible waiters. *)
 let release t ~owner =
-  let owned =
-    Hashtbl.fold
-      (fun k o acc -> if o = owner then k :: acc else acc)
-      t.held []
-  in
-  List.iter (Hashtbl.remove t.held) owned;
+  (match Hashtbl.find_opt t.owned owner with
+  | Some keys ->
+      List.iter (Hashtbl.remove t.held) keys;
+      Hashtbl.remove t.owned owner
+  | None -> ());
   serve t
 
 (** Try to acquire without queueing. *)

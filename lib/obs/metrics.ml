@@ -115,25 +115,37 @@ let names t =
    "name.<label>" (the per-shard breakdown).  An unlabeled scope writes
    the bare name only, so shared code records through a scope without
    the single-loop callers paying for (or emitting) labels. *)
-type scope = { st : t; label : string option }
+type scope = {
+  st : t;
+  label : string option;
+  names : (string, string) Hashtbl.t;
+      (** bare name -> "name.<label>", built on first use: the shard
+          loop records the same few names on every event *)
+}
 
-let scoped t label = { st = t; label }
-let unscoped t = { st = t; label = None }
+let scoped t label = { st = t; label; names = Hashtbl.create 32 }
+let unscoped t = scoped t None
 
+(* Only called on a labelled scope. *)
 let labelled s name =
-  match s.label with None -> None | Some l -> Some (name ^ "." ^ l)
+  match Hashtbl.find s.names name with
+  | n -> n
+  | exception Not_found ->
+      let n = name ^ "." ^ Option.get s.label in
+      Hashtbl.add s.names name n;
+      n
 
 let scope_inc s ?(by = 1) name =
   inc s.st ~by name;
-  match labelled s name with None -> () | Some n -> inc s.st ~by n
+  if s.label <> None then inc s.st ~by (labelled s name)
 
 let scope_set s name v =
   set s.st name v;
-  match labelled s name with None -> () | Some n -> set s.st n v
+  if s.label <> None then set s.st (labelled s name) v
 
 let scope_observe s name v =
   observe s.st name v;
-  match labelled s name with None -> () | Some n -> observe s.st n v
+  if s.label <> None then observe s.st (labelled s name) v
 
 let scope_metrics s = s.st
 let scope_label s = s.label

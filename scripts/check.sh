@@ -166,6 +166,18 @@ if (( control_plane_count > CONTROL_PLANE_BASELINE )); then
   exit 1
 fi
 
+# -- one parse per config revision -----------------------------------
+# The control plane parses a configuration source only when it enters
+# the compiled-revision table (Shard.compile); every request and
+# reconcile reuses that parse.  A second `Config.parse` in
+# lib/controlplane means some path re-parses per unit of work again.
+CONFIG_PARSE_BASELINE=1
+config_parse_count=$({ grep -rno 'Config\.parse' lib/controlplane/ || true; } | wc -l)
+if (( config_parse_count > CONFIG_PARSE_BASELINE )); then
+  echo "check.sh: ${config_parse_count} Config.parse uses in lib/controlplane (baseline ${CONFIG_PARSE_BASELINE}) — look the source up in the compiled-revision table (Shard.expand)" >&2
+  exit 1
+fi
+
 # -- example smokes --------------------------------------------------
 # Every example must run to completion: they are the executable
 # documentation for the lifecycle facade and the EDSL.

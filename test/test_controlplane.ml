@@ -289,8 +289,12 @@ let serve_scenario =
 
 (* Run [Cli.serve] on a scenario file; returns the exit code and
    everything written to stdout. *)
-let serve ?shards src =
-  let path = Filename.temp_file "cloudless_serve" ".scn" in
+let serve ?shards ?dir src =
+  let path =
+    match dir with
+    | None -> Filename.temp_file "cloudless_serve" ".scn"
+    | Some d -> Filename.concat d "scenario.scn"
+  in
   Out_channel.with_open_bin path (fun oc -> output_string oc src);
   let out = Buffer.create 4096 in
   let io = { Cli.out = Buffer.add_string out; err = (fun _ -> ()) } in
@@ -324,6 +328,30 @@ let test_serve_runs_waves () =
   check int_ "exit code" 0 code;
   check bool_ "rollout reported" true (contains ~sub:"Rollout " out)
 
+(* A rollout is named after the scenario file's basename and line, so
+   the same file served from two directories prints the same output. *)
+let test_serve_rollout_name () =
+  let src =
+    serve_scenario
+    ^ "wave = start=300 attr=instance_type value=t3.micro check=30\n"
+  in
+  let in_fresh_dir () =
+    let dir = Filename.temp_dir "cloudless_serve" "" in
+    Fun.protect
+      ~finally:(fun () -> Sys.rmdir dir)
+      (fun () -> serve ~dir src)
+  in
+  let rollout out =
+    List.find_opt
+      (fun l -> String.starts_with ~prefix:"Rollout " l)
+      (String.split_on_char '\n' out)
+  in
+  let (_, a), (_, b) = (in_fresh_dir (), in_fresh_dir ()) in
+  check bool_ "named by basename:line" true
+    (contains ~sub:"Rollout wave@scenario.scn:10:" a);
+  check Alcotest.(option string) "same Rollout line" (rollout a) (rollout b);
+  check string_ "same output" a b
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suites =
@@ -346,5 +374,7 @@ let suites =
           test_serve_default_shards;
         Alcotest.test_case "wave lines run without --shards" `Quick
           test_serve_runs_waves;
+        Alcotest.test_case "rollout named by file basename" `Quick
+          test_serve_rollout_name;
       ] );
   ]

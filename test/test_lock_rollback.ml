@@ -90,6 +90,44 @@ let test_try_acquire () =
   (* reentrant for the same owner *)
   check bool_ "reentrant" true (Lock_manager.try_acquire lm ~owner:"t1" ~keys:[ addr "a" ])
 
+(* Interleaved owners, one of them re-entrant: a release frees exactly
+   the releasing owner's keys, however its holdings were built up. *)
+let test_lock_release_frees_only_own_keys () =
+  let lm = Lock_manager.create Lock_manager.Per_resource in
+  let granted = ref [] in
+  let acquire owner keys =
+    Lock_manager.acquire lm ~owner ~keys:(List.map addr keys) (fun () ->
+        granted := owner :: !granted)
+  in
+  let holders () =
+    List.map (fun (k, o) -> (k.Addr.rname, o)) (Lock_manager.holders lm)
+  in
+  let held = Alcotest.(list (pair string string)) in
+  acquire "t1" [ "a"; "b" ];
+  acquire "t2" [ "c" ];
+  acquire "t1" [ "b"; "d" ];
+  (* re-entrant: b again, d new *)
+  acquire "t2" [ "e" ];
+  acquire "t3" [ "b"; "c" ];
+  check held "interleaved holdings"
+    [ ("a", "t1"); ("b", "t1"); ("c", "t2"); ("d", "t1"); ("e", "t2") ]
+    (holders ());
+  check int_ "t3 waits" 1 (Lock_manager.queue_length lm);
+  Lock_manager.release lm ~owner:"t1";
+  check held "t1's keys only" [ ("c", "t2"); ("e", "t2") ] (holders ());
+  check int_ "t3 still waits on c" 1 (Lock_manager.queue_length lm);
+  Lock_manager.release lm ~owner:"t2";
+  check held "t3 granted" [ ("b", "t3"); ("c", "t3") ] (holders ());
+  check
+    Alcotest.(list string)
+    "grant order" [ "t1"; "t2"; "t1"; "t2"; "t3" ] (List.rev !granted);
+  Lock_manager.release lm ~owner:"t1";
+  check held "releasing again frees nothing" [ ("b", "t3"); ("c", "t3") ]
+    (holders ());
+  Lock_manager.release lm ~owner:"t3";
+  check held "all free" [] (holders ());
+  check Alcotest.(pair int int) "stats" (5, 1) (Lock_manager.stats lm)
+
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -385,6 +423,8 @@ let suites =
         Alcotest.test_case "no HOL blocking" `Quick test_lock_no_holb_for_disjoint_waiters;
         Alcotest.test_case "multi-key atomic" `Quick test_lock_multi_key_atomic;
         Alcotest.test_case "try_acquire" `Quick test_try_acquire;
+        Alcotest.test_case "release frees only own keys" `Quick
+          test_lock_release_frees_only_own_keys;
       ] );
     ( "lock.txn",
       [
